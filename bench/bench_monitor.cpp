@@ -1,11 +1,13 @@
-// E12 — runtime-monitor overhead: cost of observing a state and
-// re-evaluating a specification online, versus trace length; plus offline
-// batch throughput of the same specification through the engine.
+// E12 — runtime-monitor overhead: cost of one verdict over a recorded
+// trace, versus trace length; plus offline batch throughput of the same
+// specification through the engine.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
-#include "core/monitor.h"
+#include "core/check.h"
 #include "core/parser.h"
 #include "engine/engine.h"
 #include "systems/mutex.h"
@@ -22,23 +24,27 @@ Spec monitored_spec() {
   return spec;
 }
 
-// Both cases below compute ONE verdict over an already-observed trace — the
-// one-shot shape, where scratch evaluation is the right mode (and the
-// historical baseline).  The incremental monitor's own shapes — a verdict
-// after every state, warm and cold — live in bench_monitor_incremental.cpp.
+// Both cases below compute ONE verdict over an already-recorded trace — the
+// one-shot shape, served by check_spec (a single verdict has no deltas for
+// the incremental monitor to exploit).  The incremental monitor's own
+// shapes — a verdict after every state, warm and cold — live in
+// bench_monitor_incremental.cpp.
 void bench_monitor_per_state(benchmark::State& state) {
   const std::size_t prefix = static_cast<std::size_t>(state.range(0));
   sys::MutexRunConfig config;
   config.entries = 20;
   config.max_steps = prefix + 50;
-  Trace tr = sys::run_mutex(config);
+  const Trace tr = sys::run_mutex(config);
+  const Spec spec = monitored_spec();
+  const std::size_t n = std::min(prefix, tr.size() - 1);
+  const std::vector<State> head(tr.states().begin(),
+                                tr.states().begin() + static_cast<std::ptrdiff_t>(n));
   for (auto _ : state) {
     state.PauseTiming();
-    Monitor m(monitored_spec(), {}, Monitor::Mode::Scratch);
-    for (std::size_t k = 0; k < std::min(prefix, tr.size()); ++k) m.observe(tr.at(k));
+    Trace t(head);
     state.ResumeTiming();
-    m.observe(tr.at(std::min(prefix, tr.size() - 1)));
-    auto r = m.current();
+    t.push(tr.at(n));
+    auto r = check_spec(spec, t);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -46,14 +52,10 @@ void bench_monitor_per_state(benchmark::State& state) {
 void bench_monitor_full_run(benchmark::State& state) {
   sys::MutexRunConfig config;
   config.entries = static_cast<std::size_t>(state.range(0));
-  Trace tr = sys::run_mutex(config);
+  const Trace tr = sys::run_mutex(config);
+  const Spec spec = monitored_spec();
   for (auto _ : state) {
-    Monitor m(monitored_spec(), {}, Monitor::Mode::Scratch);
-    bool final_ok = true;
-    for (std::size_t k = 0; k < tr.size(); ++k) {
-      m.observe(tr.at(k));
-    }
-    final_ok = m.current().ok;
+    const bool final_ok = check_spec(spec, tr).ok;
     benchmark::DoNotOptimize(final_ok);
   }
   state.counters["states"] = static_cast<double>(tr.size());

@@ -1,23 +1,24 @@
-// E13 — incremental monitoring: the append-delta pass against the scratch
-// per-state recheck, on the bench_monitor_full_run workload shape (a mutex
+// E13 — incremental monitoring: the append-delta pass against a full
+// recheck per state, on the bench_monitor_full_run workload shape (a mutex
 // run streamed state by state with a verdict after every state).
 //
 //   bench_monitor_append_full_run    incremental monitor, verdict per state
-//   bench_monitor_scratch_full_run   scratch monitor, verdict per state
-//                                    (the pre-incremental evaluation path)
+//   bench_monitor_recheck_full_run   check_spec on every prefix, verdict per
+//                                    state (re-evaluation from scratch)
 //   bench_monitor_append_warm        steady-state cost of ONE append+verdict
 //                                    on a monitor that has verdicted all
 //                                    along (the delta is the live suffix)
 //   bench_monitor_append_cold        first-ever verdict at the same prefix
 //                                    (builds the whole obligation graph)
 //
-// CI asserts append_full_run < scratch_full_run from the emitted JSON: the
+// CI asserts append_full_run < recheck_full_run from the emitted JSON: the
 // obligation graph must beat re-evaluation or it has no reason to exist.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstddef>
 
+#include "core/check.h"
 #include "core/monitor.h"
 #include "core/parser.h"
 #include "systems/mutex.h"
@@ -40,25 +41,33 @@ Trace mutex_run(std::size_t entries) {
   return sys::run_mutex(config);
 }
 
-/// Streams the whole run with a verdict per state through one monitor mode.
-void stream_full_run(benchmark::State& state, Monitor::Mode mode) {
+/// Streams the whole run with a verdict per state through one monitor.
+void bench_monitor_append_full_run(benchmark::State& state) {
   const Trace tr = mutex_run(static_cast<std::size_t>(state.range(0)));
   const Spec spec = monitored_spec();
   std::size_t failed = 0;
   for (auto _ : state) {
-    Monitor m(spec, {}, mode);
+    Monitor m(spec);
     for (const State& s : tr.states()) failed += m.append(s).failed.size();
     benchmark::DoNotOptimize(failed);
   }
   state.counters["states"] = static_cast<double>(tr.size());
 }
 
-void bench_monitor_append_full_run(benchmark::State& state) {
-  stream_full_run(state, Monitor::Mode::Incremental);
-}
-
-void bench_monitor_scratch_full_run(benchmark::State& state) {
-  stream_full_run(state, Monitor::Mode::Scratch);
+/// The same verdict stream by re-evaluation: check_spec on every prefix.
+void bench_monitor_recheck_full_run(benchmark::State& state) {
+  const Trace tr = mutex_run(static_cast<std::size_t>(state.range(0)));
+  const Spec spec = monitored_spec();
+  std::size_t failed = 0;
+  for (auto _ : state) {
+    Trace prefix;
+    for (const State& s : tr.states()) {
+      prefix.push(s);
+      failed += check_spec(spec, prefix).failed.size();
+    }
+    benchmark::DoNotOptimize(failed);
+  }
+  state.counters["states"] = static_cast<double>(tr.size());
 }
 
 /// Steady state: the monitor has verdicted after every prefix state; timed
@@ -108,7 +117,7 @@ void bench_monitor_append_cold(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(bench_monitor_append_full_run)->Arg(4)->Arg(8)->Arg(16);
-BENCHMARK(bench_monitor_scratch_full_run)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(bench_monitor_recheck_full_run)->Arg(4)->Arg(8)->Arg(16);
 // The mutex simulation's first critical-section entry lands around state
 // ~170 and entries recur every ~80 states, so the spec's live suffix (the
 // open obligations an append must recheck) is a window of roughly that

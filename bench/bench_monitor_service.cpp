@@ -1,12 +1,9 @@
-// E14 — monitoring as a service: what the resident parked pool buys over
-// the spawn-per-feed fan-out it replaced, and how a resident fleet scales.
+// E14 — monitoring as a service: the cost of a per-state fleet epoch on
+// the resident parked pool, and how a resident fleet scales.
 //
 //   bench_service_feed_parked/T   per-state fleet epoch through a ParkedPool
-//                                 of T workers (the BatchMonitor/
-//                                 MonitorService path: wake + drain)
-//   bench_service_feed_spawn/T    the pre-service reference: the same epoch
-//                                 through run_claimed(), spawning and
-//                                 joining T threads for every state
+//                                 of T workers (the MonitorService fan-out:
+//                                 wake + drain)
 //   bench_service_resident_fleet/N
 //                                 one appended state through a MonitorService
 //                                 with N resident monitors (10^2..10^4),
@@ -20,14 +17,12 @@
 //                                 queue is loaded while paused so the block
 //                                 shape is deterministic, not a race.
 //
-// CI asserts feed_parked < feed_spawn at 4 threads, and batched (B=32)
-// >= per-state (B=1) states/s at every fleet size, from the emitted JSON:
-// parking the workers is the reason the service can afford an epoch per
-// state, and batching is the reason a state costs less than an epoch.
+// CI asserts batched (B=32) >= per-state (B=1) states/s at every fleet
+// size, from the emitted JSON: batching is the reason a state costs less
+// than an epoch.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "core/monitor.h"
@@ -57,9 +52,9 @@ Trace mutex_run(std::size_t entries) {
 constexpr std::size_t kFleet = 16;   ///< monitors per feed benchmark
 constexpr std::size_t kBlock = 32;   ///< timed states per iteration
 
-/// The feed benchmarks monitor one cheap safety axiom: the point is the
-/// fan-out cost per state (wake + drain vs spawn + join), so the per-monitor
-/// append must be small enough not to drown it.
+/// The feed benchmark monitors one cheap safety axiom: the point is the
+/// fan-out cost per state (wake + drain), so the per-monitor append must be
+/// small enough not to drown it.
 Spec feed_spec() {
   Spec spec;
   spec.name = "feed";
@@ -67,11 +62,11 @@ Spec feed_spec() {
   return spec;
 }
 
-/// Feeds kBlock states to a fresh fleet, one epoch per state, fanned out by
-/// `epoch(count, body)`.  The fleet build is untimed; the timed region is
-/// exactly the per-state epochs, so items_per_second is states/s.
-template <typename Epoch>
-void feed_blocks(benchmark::State& state, Epoch&& epoch) {
+/// Feeds kBlock states to a fresh fleet, one epoch per state, fanned out on
+/// a ParkedPool of T workers.  The fleet build is untimed; the timed region
+/// is exactly the per-state epochs, so items_per_second is states/s.
+void bench_service_feed_parked(benchmark::State& state) {
+  engine::detail::ParkedPool pool(static_cast<std::size_t>(state.range(0)));
   const Spec spec = feed_spec();
   const Trace tr = mutex_run(8);
   std::size_t failed = 0;
@@ -84,29 +79,13 @@ void feed_blocks(benchmark::State& state, Epoch&& epoch) {
     state.ResumeTiming();
     for (std::size_t j = 0; j < kBlock; ++j) {
       const State& s = tr.at(j);
-      epoch(fleet.size(), [&](std::size_t i) { slots[i] = fleet[i].append(s).failed.size(); });
+      pool.run(fleet.size(), [&](std::size_t i) { slots[i] = fleet[i].append(s).failed.size(); });
       for (const std::size_t f : slots) failed += f;
     }
     benchmark::DoNotOptimize(failed);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBlock));
   state.counters["monitors"] = static_cast<double>(kFleet);
-}
-
-void bench_service_feed_parked(benchmark::State& state) {
-  engine::detail::ParkedPool pool(static_cast<std::size_t>(state.range(0)));
-  feed_blocks(state, [&](std::size_t count, const std::function<void(std::size_t)>& body) {
-    pool.run(count, body);
-  });
-}
-
-void bench_service_feed_spawn(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  feed_blocks(state, [&](std::size_t count, const std::function<void(std::size_t)>& body) {
-    engine::detail::run_claimed(
-        count, threads, [](std::size_t) { return 0; },
-        [&](int&, std::size_t i) { body(i); }, [](int&, std::size_t) {});
-  });
 }
 
 /// One state through a resident service with N monitors: epoch fan-out over
@@ -137,7 +116,7 @@ void bench_service_resident_fleet(benchmark::State& state) {
 
 /// A 32-state burst through a resident fleet at a fixed epoch-batch bound.
 /// The burst is enqueued while the coordinator is paused, so the B=32 run
-/// folds it into one epoch (one pool wake, one begin_epoch() walk per
+/// folds it into one epoch (one pool wake, one begin_epoch() pass per
 /// monitor) while the B=1 run pays the full per-state epoch loop — the
 /// states/s ratio is exactly what Options::max_epoch_batch buys.
 void bench_service_batch_ingest(benchmark::State& state) {
@@ -174,7 +153,6 @@ void bench_service_batch_ingest(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(bench_service_feed_parked)->Arg(2)->Arg(4);
-BENCHMARK(bench_service_feed_spawn)->Arg(2)->Arg(4);
 BENCHMARK(bench_service_resident_fleet)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(bench_service_batch_ingest)
     ->Args({100, 1})

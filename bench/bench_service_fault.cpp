@@ -1,5 +1,4 @@
-// E15 — what fault isolation costs: quarantined slots on the ingest path,
-// and the price of the budget ladder's Scratch demotion rung.
+// E15 — what fault isolation costs: quarantined slots on the ingest path.
 //
 //   bench_service_fault_ingest/V  a 32-state burst through a resident fleet
 //                                 of 1000 monitors of which V were
@@ -14,11 +13,6 @@
 //                                 renders Verdict::Faulted rows per epoch
 //                                 instead of evaluating, so throughput
 //                                 should *rise* with V.
-//   bench_service_degraded_mode/M per-state cost of a 100-monitor fleet in
-//                                 Incremental mode (M=0) vs Scratch mode
-//                                 (M=1): the ratio is what the budget
-//                                 ladder's demote_to_scratch() rung trades —
-//                                 bounded memory for re-evaluation work.
 //
 // Quarantine here is organic (no IL_FAULT_INJECTION needed): the victims
 // monitor `[] (boom = 1 -> $unbound > 0)`, which short-circuits on every
@@ -29,7 +23,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/monitor.h"
 #include "core/parser.h"
 #include "engine/service.h"
 #include "systems/mutex.h"
@@ -105,36 +98,8 @@ void bench_service_fault_ingest(benchmark::State& state) {
   state.counters["quarantined"] = static_cast<double>(service.stats().monitors_quarantined);
 }
 
-/// Per-state fleet cost in Incremental (M=0) vs Scratch (M=1) mode: prices
-/// the budget ladder's demotion rung without depending on a byte threshold.
-void bench_service_degraded_mode(benchmark::State& state) {
-  const bool scratch = state.range(0) != 0;
-  const Spec spec = monitored_spec();
-  const Trace tr = mutex_run(8);
-  engine::Options options;
-  options.num_threads = 4;
-  options.queue_capacity = 64;
-  engine::MonitorService service(options);
-  for (std::size_t i = 0; i < 100; ++i)
-    service.register_spec(spec, {}, scratch ? Monitor::Mode::Scratch : Monitor::Mode::Incremental);
-  service.flush();
-  std::size_t k = 0;
-  std::size_t rows = 0;
-  for (auto _ : state) {
-    service.append(tr.at(k));
-    service.flush();
-    rows += service.drain().size();
-    k = (k + 1) % tr.size();
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["monitors"] = 100.0;
-  state.counters["scratch"] = scratch ? 1.0 : 0.0;
-}
-
 }  // namespace
 
 BENCHMARK(bench_service_fault_ingest)->Arg(0)->Arg(10)->Arg(100);
-BENCHMARK(bench_service_degraded_mode)->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

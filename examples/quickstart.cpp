@@ -105,7 +105,7 @@ int main() {
   Spec stream_spec;
   stream_spec.name = "stream";
   stream_spec.axioms.push_back({"response", parse_formula("[] [ req => ] *grant")});
-  Monitor monitor(stream_spec);  // Monitor::Mode::Incremental is the default
+  Monitor monitor(stream_spec);
 
   struct Step {
     bool req, grant;

@@ -1,7 +1,7 @@
 // Incremental evaluation over a growing trace: the obligation-expansion /
 // settlement recast of core/semantics.h used by the online monitor.
 //
-// The scratch evaluator answers s<0,inf> |= a by structural recursion; on a
+// The plain evaluator answers s<0,inf> |= a by structural recursion; on a
 // monitor that re-asks after every appended state, almost all of that work
 // re-derives facts about the settled prefix.  The incremental evaluator
 // splits every query by one construction-time node flag (suffix_sensitive,
@@ -33,7 +33,7 @@
 //       everything else composes child obligations and settles exactly when
 //             the children its value depends on have settled.
 //
-// Obligation values are bit-identical to the scratch evaluator at every
+// Obligation values are bit-identical to the uncached evaluator at every
 // trace length (the differential suite in tests/test_monitor_incremental.cpp
 // proves it per appended state); settlement is sound but deliberately
 // conservative — an obligation marked settled can never change, one left
@@ -126,7 +126,6 @@ class IncrementalEvaluator {
   bool make_key(std::uint32_t node, ObligationGraph::Op op, std::uint64_t lo,
                 const std::vector<std::uint32_t>& metas, const Env& env,
                 ObligationGraph::Key& key);
-  void add_horizon_dep(ObId attach);
 
   const Trace& trace_;
   ObligationGraph* graph_;

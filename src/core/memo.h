@@ -92,12 +92,6 @@ class EvalCache {
   /// accumulating toward the capacity cap.
   void evict_entries();
 
-  /// Frees the slot table itself (unlike evict_entries(), which keeps the
-  /// allocation) while preserving the lifetime counters (unlike clear(),
-  /// which resets them).  For resource-budget enforcement: demoting or
-  /// quarantining a monitor must actually return the bytes.
-  void release();
-
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
   std::size_t inserts() const { return inserts_; }
@@ -257,25 +251,21 @@ class IntervalIndex {
 ///     re-evaluation: [] / <> keep a scan frontier plus the list of start
 ///     positions whose body verdict is still open; event searches keep the
 ///     rolling changeset probe at the frontier,
-///   - explicit dependency edges to the child obligations (and to the
-///     distinguished `kHorizon` sentinel when the recomputation read the
-///     stuttering horizon), reverse-indexed for invalidation.
+///   - explicit dependency edges to the child obligations, reverse-indexed
+///     for invalidation.
 ///
 /// When a state is appended, begin_epoch(horizon) runs the
-/// change-propagation pass.  Under the default Invalidation::Indexed mode,
-/// every open obligation that reads the stuttering horizon is registered in
-/// an IntervalIndex under the half-open sensitivity window
-/// [key.lo, inf) — removed the moment it settles or is freed — and an epoch
-/// is a stabbing query at the new horizon: O(log n + touched) to produce
-/// exactly the overlapping open obligations, which seed the
-/// reverse-dependency dirty closure.  Invalidation::ReverseWalk keeps the
-/// pre-index pass (walk the reverse-dependency list of the `kHorizon`
-/// sentinel) behind a switch for differential testing and benchmarking.
-/// Either way settled obligations are firewalls — they are never marked and
-/// the closure does not pass through them — which is exactly how verdicts
-/// for closed intervals stay pinned while only the live suffix re-settles.
-/// Recomputation itself is lazy: the evaluator re-settles a dirty
-/// obligation the next time a root verdict needs it.
+/// change-propagation pass.  Every open obligation that reads the
+/// stuttering horizon is registered in an IntervalIndex under the half-open
+/// sensitivity window [key.lo, inf) — removed the moment it settles or is
+/// freed — and an epoch is a stabbing query at the new horizon: O(log n +
+/// touched) to produce exactly the overlapping open obligations, which seed
+/// the reverse-dependency dirty closure.  Settled obligations are
+/// firewalls — they are never marked and the closure does not pass through
+/// them — which is exactly how verdicts for closed intervals stay pinned
+/// while only the live suffix re-settles.  Recomputation itself is lazy:
+/// the evaluator re-settles a dirty obligation the next time a root verdict
+/// needs it.
 ///
 /// Records are reclaimed two ways.  Directly: when an open event find
 /// relocates its interval, the evaluator unlinks the superseded body record
@@ -286,29 +276,20 @@ class IntervalIndex {
 /// settled record never re-reads its children — and frees the rest:
 /// detached settled subtrees, leftover orphans, cycles.  Sweeps run on
 /// demand, automatically when the record count outgrows the last sweep's
-/// live set by Options::obligation_gc_fraction, and as the first rung of
-/// the service budget ladder.  Freed slots are recycled through a free
-/// list, but only from the *next* epoch on, so ObIds held by an in-flight
-/// evaluation stay inert.
+/// live set by Options::obligation_gc_fraction, and when a service monitor
+/// exceeds its byte budget.  A settled record that stays resident sheds its
+/// open-position list at once (on_settle): nothing reads resume state once
+/// the result is pinned.  Freed slots are recycled through a free list, but
+/// only from the *next* epoch on, so ObIds held by an in-flight evaluation
+/// stay inert.
 ///
 /// Single-threaded by design: one graph belongs to one monitor over one
-/// trace (parallel fleets get one graph per monitor; see engine/stream.h).
+/// trace (a MonitorService fleet keeps one graph per monitor; see
+/// engine/service.h).
 class ObligationGraph {
  public:
   using ObId = std::uint32_t;
   static constexpr ObId kNoOb = 0xffffffffu;
-  /// Sentinel obligation: "the trace's live suffix".  Under
-  /// Invalidation::ReverseWalk, obligations whose recomputation read the
-  /// stuttering horizon register a dependency on it and the invalidation
-  /// walk starts here; under Invalidation::Indexed the sentinel slot is
-  /// kept (so ObIds are stable across modes) but carries no edges.
-  static constexpr ObId kHorizon = 0;
-
-  /// How begin_epoch() finds the obligations an append can touch.
-  enum class Invalidation : std::uint8_t {
-    Indexed,      ///< IntervalIndex stab at the new horizon (default)
-    ReverseWalk,  ///< legacy reverse-dependency walk from kHorizon
-  };
 
   /// What question an obligation answers.
   enum class Op : std::uint8_t {
@@ -379,30 +360,21 @@ class ObligationGraph {
     /// listed position must be rechecked each epoch; settled positions are
     /// dropped (and a settled-false / settled-true one pins the operator).
     std::vector<std::uint64_t> open_positions;
-    /// Child obligations read by the last recomputation (kHorizon included
-    /// when the scan touched the stuttering horizon).  Monotone across
-    /// epochs: an over-approximation is safe for invalidation.
+    /// Child obligations read by the recomputations so far.  An
+    /// over-approximation is safe for invalidation; begin_recompute() drops
+    /// the edges to children that have settled, and freeing a child unlinks
+    /// its edge.
     std::vector<ObId> deps;
   };
-
-  ObligationGraph();
 
   /// Current epoch (== number of begin_epoch() calls).
   std::uint64_t epoch() const { return epoch_; }
 
-  /// How epochs find the obligations an append can touch.  Switching is
-  /// only allowed while the graph is empty (mode shapes the registration
-  /// structures from the first obligation on).
-  void set_invalidation(Invalidation mode);
-  Invalidation invalidation() const { return invalidation_; }
-  bool indexed() const { return invalidation_ == Invalidation::Indexed; }
-
   /// Starts a new epoch at the given trace horizon (last visible index):
   /// bumps the clock, recycles slots freed since the previous epoch, and
   /// runs the invalidation pass — an IntervalIndex stab at `horizon`
-  /// seeding the reverse-dependency dirty closure (Indexed), or the legacy
-  /// walk from kHorizon (ReverseWalk).  Call once per appended block,
-  /// before re-reading root verdicts.
+  /// seeding the reverse-dependency dirty closure.  Call once per appended
+  /// block, before re-reading root verdicts.
   void begin_epoch(std::uint64_t horizon);
 
   /// The obligation for `key`, created open+dirty on first sight (freed
@@ -417,12 +389,14 @@ class ObligationGraph {
 
   /// Records "recomputing `attach` read the stuttering horizon": registers
   /// the sensitivity window [attach.key.lo, inf) in the interval index
-  /// (Indexed; once — the window already contains every later horizon), or
-  /// adds the kHorizon dependency edge (ReverseWalk).  No-op on kNoOb.
+  /// (once — the window already contains every later horizon).  No-op on
+  /// kNoOb.
   void touch_horizon(ObId attach);
 
   /// Tells the graph `id` just settled: its interval-index registration is
-  /// dropped — a settled record can never be touched by an epoch again.
+  /// dropped — a settled record can never be touched by an epoch again —
+  /// and its open-position list is freed, since only a recomputation reads
+  /// it and settlement is permanent.
   void on_settle(ObId id);
 
   /// Called by the evaluator as it starts recomputing `self`: drops the
@@ -430,8 +404,7 @@ class ObligationGraph {
   /// dirty anyone, and any child this recomputation actually re-reads
   /// re-registers through add_dep).  This is what bounds the dependency
   /// lists of long-lived open obligations and detaches exhausted settled
-  /// subtrees for the sweep to collect.  Indexed mode only (ReverseWalk
-  /// keeps the pre-index monotone-edge behavior exactly).
+  /// subtrees for the sweep to collect.
   void begin_recompute(ObId self);
 
   /// Marks `id` as queried directly by a verdict: a GC root, never swept.
@@ -474,18 +447,6 @@ class ObligationGraph {
   /// owners whose trace was rewritten rather than appended to.
   void reset();
 
-  /// Forced settled-parent sweep: frees the resume state (open-position
-  /// lists, dependency lists) of every settled obligation and drops every
-  /// edge with a settled endpoint from the reverse index and the edge set.
-  /// Safe because settlement is permanent — a settled obligation is never
-  /// recomputed and the invalidation pass never passes through it, so none
-  /// of the freed structure can be read again.  This is the second rung of
-  /// the budget-degradation ladder (engine/service.h), after a gc_sweep();
-  /// begin_epoch() performs the same pruning lazily, edge by edge, as its
-  /// closure happens to touch them, while this sweeps everything at once.
-  /// Returns the obligations swept; counted in compactions().
-  std::size_t compact_settled();
-
   /// Estimated bytes resident in the store (gauge): the obligation and
   /// reverse-index vectors at capacity, per-obligation resume state
   /// (open-position and dependency lists), the interval-index node pool,
@@ -495,8 +456,8 @@ class ObligationGraph {
   std::size_t bytes() const;
 
   // Accounting (lifetime counters unless noted).
-  /// Resident records: slots minus the sentinel minus freed-awaiting-reuse.
-  std::size_t size() const { return obligations_.size() - 1 - freed_count_; }
+  /// Resident records: slots minus freed-awaiting-reuse.
+  std::size_t size() const { return obligations_.size() - freed_count_; }
   std::size_t edges() const { return edge_set_.size(); }
   std::size_t settled_count() const;          ///< resident settled obligations
   std::size_t open_count() const;             ///< resident open obligations
@@ -508,8 +469,6 @@ class ObligationGraph {
   /// Open-world queries whose observable bindings overflowed the inline key
   /// capacity and were evaluated without an obligation record.
   std::size_t env_overflows() const { return env_overflows_; }
-  /// Forced settled-parent sweeps (compact_settled() calls), lifetime.
-  std::size_t compactions() const { return compactions_; }
 
   // Interval-index accounting.
   std::size_t index_nodes() const { return tree_.size(); }  ///< gauge
@@ -548,7 +507,6 @@ class ObligationGraph {
     fn("settled_hits", static_cast<std::uint64_t>(settled_hits_));
     fn("fresh_hits", static_cast<std::uint64_t>(fresh_hits_));
     fn("env_overflows", static_cast<std::uint64_t>(env_overflows_));
-    fn("compactions", static_cast<std::uint64_t>(compactions_));
     fn("index_nodes", static_cast<std::uint64_t>(index_nodes()));
     fn("index_stabs", static_cast<std::uint64_t>(stabs_));
     fn("index_visited", static_cast<std::uint64_t>(stab_visited_));
@@ -578,11 +536,10 @@ class ObligationGraph {
   void maybe_cascade_free(ObId id);
   void seed_and_close(std::vector<ObId>& stack);  ///< dirty closure over reverse_
 
-  std::vector<Obligation> obligations_;  ///< [0] is the horizon sentinel
+  std::vector<Obligation> obligations_;
   std::unordered_map<Key, ObId, KeyHash> index_;
   std::vector<std::vector<ObId>> reverse_;  ///< child -> parents
   std::unordered_set<std::uint64_t> edge_set_;  ///< packed parent<<32|child
-  Invalidation invalidation_ = Invalidation::Indexed;
   IntervalIndex tree_;             ///< open horizon-readers by sensitivity window
   std::vector<ObId> roots_;        ///< GC roots (is_root set)
   std::vector<ObId> free_list_;    ///< freed slots, reusable now
@@ -601,7 +558,6 @@ class ObligationGraph {
   std::size_t settled_hits_ = 0;
   std::size_t fresh_hits_ = 0;
   std::size_t env_overflows_ = 0;
-  std::size_t compactions_ = 0;
   std::size_t stabs_ = 0;
   std::size_t stab_visited_ = 0;
   std::size_t touched_total_ = 0;

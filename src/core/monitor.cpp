@@ -6,8 +6,7 @@
 
 namespace il {
 
-Monitor::Monitor(Spec spec, Env env, Mode mode)
-    : spec_(std::move(spec)), env_(std::move(env)), mode_(mode) {}
+Monitor::Monitor(Spec spec, Env env) : spec_(std::move(spec)), env_(std::move(env)) {}
 
 void Monitor::observe(const State& s) {
   IL_INJECT_FAULT("monitor.append");
@@ -21,62 +20,22 @@ CheckResult Monitor::append(const State& s) {
 
 void Monitor::append_block(const State* const* states, std::size_t count, CheckResult* out) {
   if (count == 0) return;
-  if (mode_ == Mode::Scratch) {
-    for (std::size_t i = 0; i < count; ++i) {
-      observe(*states[i]);
-      out[i] = current_scratch();
-    }
-    return;
-  }
   for (std::size_t i = 0; i < count; ++i) observe(*states[i]);
   // One epoch for the whole block (plus any states observe()d since the
-  // last verdict): the invalidation walk and the settled-cache reuse run
+  // last verdict): the invalidation pass and the settled-cache reuse run
   // once, and the per-prefix verdicts come from virtual horizons.
-  sync_incremental_epoch();
+  sync_epoch();
   const std::size_t base = trace_.size() - count;
   for (std::size_t i = 0; i < count; ++i) out[i] = verdict_at(base + i);
 }
 
 CheckResult Monitor::current() const {
   IL_REQUIRE(!trace_.empty(), "no states observed yet");
-  return mode_ == Mode::Incremental ? current_incremental() : current_scratch();
+  sync_epoch();
+  return verdict_at(trace_.last_index());
 }
 
-std::size_t Monitor::compact_settled() {
-  if (mode_ != Mode::Incremental) return 0;
-  return graph_.compact_settled();
-}
-
-void Monitor::demote_to_scratch() {
-  if (mode_ == Mode::Scratch) return;
-  mode_ = Mode::Scratch;
-  // Both stores go: the graph's obligations and the settled cache's entries
-  // are only reachable from the incremental path.  The trace stays, so the
-  // scratch evaluator — the reference semantics — produces bit-identical
-  // verdicts from here on.  release() (not clear()) keeps the lifetime
-  // hit/miss history an operator has been watching.
-  graph_.reset();
-  cache_.release();
-  cache_trace_id_ = trace_.id();
-}
-
-CheckResult Monitor::current_scratch() const {
-  // One persistent cache across calls: entries keyed on the trace identity
-  // id stay valid exactly as long as the trace is unmodified, so a repeated
-  // verdict (or the shared subformulas of later verdicts) is served from
-  // memory instead of re-evaluated.  When observe() has refreshed the id,
-  // every resident entry is unreachable forever — evict them wholesale so a
-  // long-running monitor's memory stays bounded by one trace's working set
-  // (the lifetime hit/miss counters survive eviction).
-  IL_INJECT_FAULT("monitor.verdict");
-  if (trace_.id() != cache_trace_id_) {
-    cache_.evict_entries();
-    cache_trace_id_ = trace_.id();
-  }
-  return check_spec_cached(spec_, trace_, env_, &cache_);
-}
-
-void Monitor::sync_incremental_epoch() const {
+void Monitor::sync_epoch() const {
   // The trace is owned by this monitor and only ever grows through
   // observe(); if some future caller nevertheless rewrites a state in
   // place, the append-delta premise is gone — drop both stores and start
@@ -98,16 +57,9 @@ void Monitor::sync_incremental_epoch() const {
   }
 }
 
-std::size_t Monitor::gc_obligations() {
-  if (mode_ != Mode::Incremental) return 0;
-  return graph_.gc_sweep();
-}
+std::size_t Monitor::gc_obligations() { return graph_.gc_sweep(); }
 
 void Monitor::set_gc_fraction(double fraction) { graph_.set_gc_fraction(fraction); }
-
-void Monitor::set_invalidation(ObligationGraph::Invalidation mode) {
-  graph_.set_invalidation(mode);
-}
 
 void Monitor::set_cache_capacity(std::size_t cap) { cache_.set_capacity(cap); }
 
@@ -124,11 +76,6 @@ CheckResult Monitor::verdict_at(std::size_t horizon) const {
     }
   }
   return result;
-}
-
-CheckResult Monitor::current_incremental() const {
-  sync_incremental_epoch();
-  return verdict_at(trace_.last_index());
 }
 
 }  // namespace il

@@ -12,34 +12,26 @@
 // `violations`, counting axioms false at the final state, which is the
 // quantity the benchmarks and tests assert on for complete runs.
 //
-// Two evaluation modes:
-//
-//   Mode::Incremental (default) — verdicts come from an obligation graph
-//   (core/incremental.h): appending a state dirties only the obligations
-//   whose right endpoint was still open, and the next verdict re-settles
-//   exactly those.  Work per append is proportional to the live suffix
-//   (pending response obligations + newly arrived states), not the trace
-//   length; verdicts for closed intervals are pinned and never recomputed.
-//   The monitor keeps two stores for the whole lifetime: a settled
-//   EvalCache (closed-world results, keyed by the trace's stable lineage
-//   id, valid forever under appends) and the ObligationGraph (open-world
-//   state).  append() is the natural driver: observe + delta verdict in one
-//   call.
-//
-//   Mode::Scratch — the pre-incremental path, kept behind this flag for
-//   differential testing and as the reference semantics: every current()
-//   re-evaluates from the monitor-lifetime EvalCache whose entries die with
-//   each trace identity bump.  Bit-identical verdicts to Incremental at
-//   every prefix (tests/test_monitor_incremental.cpp).  Also the right mode
-//   when verdicts are *rare* relative to appends (a single check after a
-//   recorded run): a one-shot verdict has no deltas to exploit, so the
-//   obligation graph would be pure bookkeeping overhead.
+// Verdicts come from an obligation graph (core/incremental.h): appending a
+// state dirties only the obligations whose right endpoint is still open,
+// and the next verdict re-settles exactly those.  Work per append is
+// proportional to the live suffix (pending response obligations + newly
+// arrived states), not the trace length; verdicts for closed intervals are
+// pinned and never recomputed.  The monitor keeps two stores for its whole
+// lifetime: a settled EvalCache (closed-world results, keyed by the trace's
+// stable lineage id, valid forever under appends) and the ObligationGraph
+// (open-world state).  append() is the natural driver: observe + delta
+// verdict in one call.  Verdicts are bit-identical, at every prefix, to the
+// uncached evaluator check_spec_cached(spec, prefix, env, nullptr) — the
+// reference the differential suites compare against.  For a single verdict
+// over a recorded trace, call check_spec (core/check.h) instead: a one-shot
+// verdict has no deltas to exploit.
 //
 // A Monitor is a stateful online object: current(), although const, writes
 // the internal stores, so a single Monitor must be driven from one thread
-// at a time.  Use one Monitor per stream; for fleets sharing one state
-// stream use engine::BatchMonitor (engine/stream.h), and for offline batch
-// verdicts engine::BatchChecker.
+// at a time.  Use one Monitor per stream; for resident fleets sharing
+// ingest streams use engine::MonitorService (engine/service.h), and for
+// offline batch verdicts engine::BatchChecker.
 #pragma once
 
 #include <cstddef>
@@ -55,12 +47,7 @@ namespace il {
 
 class Monitor {
  public:
-  enum class Mode {
-    Incremental,  ///< obligation-graph delta pass (default)
-    Scratch,      ///< full re-evaluation per verdict (reference semantics)
-  };
-
-  explicit Monitor(Spec spec, Env env = {}, Mode mode = Mode::Incremental);
+  explicit Monitor(Spec spec, Env env = {});
 
   /// Observes one state.
   void observe(const State& s);
@@ -71,11 +58,10 @@ class Monitor {
 
   /// Observes `count` states as one block and writes the verdict after each
   /// into out[0..count): bit-identical to `count` append() calls, per state.
-  /// Incremental mode runs ONE obligation-graph epoch covering the whole
-  /// block — a single invalidation walk instead of one per state — and
-  /// evaluates the intermediate verdicts at increasing *virtual* horizons
+  /// Runs ONE obligation-graph epoch covering the whole block — a single
+  /// invalidation pass instead of one per state — and evaluates the
+  /// intermediate verdicts at increasing *virtual* horizons
   /// (core/incremental.h), which is what makes batched service epochs pay.
-  /// Scratch mode degrades to the per-state loop.
   void append_block(const State* const* states, std::size_t count, CheckResult* out);
 
   /// Verdicts for the trace so far (provisional; see header comment).
@@ -86,32 +72,23 @@ class Monitor {
 
   const Trace& trace() const { return trace_; }
   const Spec& spec() const { return spec_; }
-  Mode mode() const { return mode_; }
 
-  /// The monitor-lifetime memoization cache.  Scratch mode: entries are
-  /// invalidated by trace identity.  Incremental mode: the settled
-  /// closed-world store — entries are valid forever while the trace only
-  /// grows, so hits accumulate across appends.
+  /// The settled closed-world store: entries are valid forever while the
+  /// trace only grows, so hits accumulate across appends.
   const EvalCache& cache() const { return cache_; }
 
-  /// Incremental mode's open-world store (empty in scratch mode).
+  /// The open-world store.
   const ObligationGraph& obligations() const { return graph_; }
 
   /// Pre-sizes the trace's state storage (e.g. for benchmarks that append
   /// a known number of states and must not pay reallocation mid-loop).
   void reserve(std::size_t states);
 
-  /// How the obligation graph finds the obligations an append can touch
-  /// (ObligationGraph::Invalidation); must be called before the first
-  /// verdict.  Default Indexed; ReverseWalk keeps the legacy pass for
-  /// differential testing and benchmarking.
-  void set_invalidation(ObligationGraph::Invalidation mode);
-
   /// Soft cap on settled-cache entries (EvalCache::set_capacity): bounds the
   /// closed-world store of a long-lived monitor.  0 = unlimited.
   void set_cache_capacity(std::size_t cap);
 
-  // -- resource-budget hooks (engine/service.h degradation ladder) ---------
+  // -- resource-budget hooks (engine/service.h byte budget) ----------------
 
   /// Bytes resident in this monitor's evaluation stores: the memo cache's
   /// slot table plus the obligation graph's estimate — obligation and
@@ -127,38 +104,19 @@ class Monitor {
   /// Forces a mark-and-sweep GC pass on the obligation graph
   /// (ObligationGraph::gc_sweep): frees records unreachable from the root
   /// verdict obligations.  Verdicts are unaffected — a freed record that is
-  /// ever queried again is recomputed from scratch.  No-op in scratch mode.
-  /// The FIRST rung of the budget-degradation ladder.  Returns the records
-  /// freed.
+  /// ever queried again is recomputed from scratch.  A service monitor over
+  /// its byte budget gets one such pass before it is quarantined.  Returns
+  /// the records freed.
   std::size_t gc_obligations();
 
-  /// Forces a settled-parent compaction sweep on the obligation graph
-  /// (ObligationGraph::compact_settled).  Verdicts are unaffected: only
-  /// structure that can never be read again is freed.  No-op in scratch
-  /// mode.  The second rung of the budget-degradation ladder.  Returns the
-  /// obligations swept.
-  std::size_t compact_settled();
-
-  /// Demotes an incremental monitor to Mode::Scratch in place: the
-  /// obligation graph and the settled cache are freed (their lifetime
-  /// counters survive), the trace is kept, and every later verdict comes
-  /// from the scratch path — bit-identical to the incremental verdicts it
-  /// would have produced, at full re-evaluation cost.  The third rung of
-  /// the budget-degradation ladder.  No-op if already scratch.
-  void demote_to_scratch();
-
  private:
-  CheckResult current_scratch() const;
-  CheckResult current_incremental() const;
-  void sync_incremental_epoch() const;  ///< fold unseen appends into one epoch
+  void sync_epoch() const;  ///< fold unseen appends into one epoch
   CheckResult verdict_at(std::size_t horizon) const;  ///< epoch already synced
 
   Spec spec_;
   Env env_;
-  Mode mode_;
   Trace trace_;
   mutable EvalCache cache_;  ///< persists across observe()/current() calls
-  mutable std::uint32_t cache_trace_id_ = 0;  ///< scratch: trace id the cache was filled under
   mutable ObligationGraph graph_;
   mutable std::uint64_t seen_appends_ = 0;   ///< appends consumed by the delta pass
   mutable std::uint64_t seen_rewrites_ = 0;  ///< rewrites seen (any change: full reset)

@@ -1,8 +1,8 @@
 #include "engine/engine.h"
 
+#include <atomic>
 #include <exception>
-#include <thread>
-#include <utility>
+#include <memory>
 
 #include "engine/pool.h"
 #include "util/assert.h"
@@ -26,7 +26,15 @@ CheckResult run_job(const CheckJob& job, EvalCache* cache) {
   return check_spec_cached(*job.spec, *job.trace, job.env, cache);
 }
 
-BatchChecker::BatchChecker(Options options) : options_(options) {}
+BatchChecker::BatchChecker(Options options) : options_(options) {
+  // A resident pool, as in BatchDecider: a checker serving many batches
+  // pays the spawn once, and a sequential configuration spawns nothing.
+  // Sized by num_threads alone: the job count is unknown until run().
+  const std::size_t workers = detail::effective_pool(~std::size_t{0}, options_.num_threads);
+  if (workers > 1) pool_ = std::make_unique<detail::ParkedPool>(workers);
+}
+
+BatchChecker::~BatchChecker() = default;
 
 std::vector<CheckResult> BatchChecker::run(const std::vector<CheckJob>& jobs) {
   check_stats_ = CheckStats{};
@@ -35,7 +43,7 @@ std::vector<CheckResult> BatchChecker::run(const std::vector<CheckJob>& jobs) {
   std::vector<CheckResult> results(jobs.size());
   if (jobs.empty()) return results;
 
-  const std::size_t pool = detail::effective_pool(jobs.size(), options_.num_threads);
+  const std::size_t workers = detail::effective_pool(jobs.size(), options_.num_threads);
 
   const auto make_cache = [this]() {
     EvalCache cache;
@@ -43,8 +51,8 @@ std::vector<CheckResult> BatchChecker::run(const std::vector<CheckJob>& jobs) {
     return cache;
   };
 
-  if (pool <= 1 || jobs.size() == 1) {
-    // Inline fast path: no thread spawn for the sequential-equivalent case.
+  if (pool_ == nullptr || workers <= 1) {
+    // Inline fast path: no wake for the sequential-equivalent case.
     EvalCache cache = make_cache();
     EvalCache* cache_ptr = options_.memoize ? &cache : nullptr;
     for (std::size_t i = 0; i < jobs.size(); ++i) results[i] = run_job(jobs[i], cache_ptr);
@@ -53,33 +61,53 @@ std::vector<CheckResult> BatchChecker::run(const std::vector<CheckJob>& jobs) {
     check_stats_.memo_inserts = cache.inserts();
     check_stats_.memo_entries = cache.size();
   } else {
-    std::vector<WorkerReport> reports(pool);
+    // One pool item per worker slot: each slot owns a private EvalCache for
+    // the whole batch and claims job indices from one shared counter, so
+    // load balances across slots while every cache stays thread-local.
+    struct Slot {
+      WorkerReport report;
+      std::size_t error_index = 0;
+      std::exception_ptr error;
+    };
+    std::vector<Slot> slots(workers);
+    std::atomic<std::size_t> next{0};
+    pool_->run(workers, [&](std::size_t w) {
+      Slot& slot = slots[w];
+      EvalCache cache = make_cache();
+      EvalCache* cache_ptr = options_.memoize ? &cache : nullptr;
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= jobs.size()) break;
+        try {
+          results[i] = run_job(jobs[i], cache_ptr);
+        } catch (...) {
+          // Indices claimed by one slot increase, so the first capture is
+          // this slot's lowest.
+          if (!slot.error) {
+            slot.error = std::current_exception();
+            slot.error_index = i;
+          }
+        }
+      }
+      slot.report.memo_hits = cache.hits();
+      slot.report.memo_misses = cache.misses();
+      slot.report.memo_inserts = cache.inserts();
+      slot.report.memo_entries = cache.size();
+    });
     // The rethrow happens after the reports are aggregated, so the memo
     // counters are complete even for a failed batch.
-    std::exception_ptr batch_error;
-    try {
-      detail::run_claimed(
-          jobs.size(), pool, [&](std::size_t) { return make_cache(); },
-          [&](EvalCache& cache, std::size_t i) {
-            results[i] = run_job(jobs[i], options_.memoize ? &cache : nullptr);
-          },
-          [&](EvalCache& cache, std::size_t w) {
-            reports[w].memo_hits = cache.hits();
-            reports[w].memo_misses = cache.misses();
-            reports[w].memo_inserts = cache.inserts();
-            reports[w].memo_entries = cache.size();
-          });
-    } catch (...) {
-      batch_error = std::current_exception();
+    check_stats_.threads = workers;
+    const Slot* first_error = nullptr;
+    for (const Slot& slot : slots) {
+      check_stats_.memo_hits += slot.report.memo_hits;
+      check_stats_.memo_misses += slot.report.memo_misses;
+      check_stats_.memo_inserts += slot.report.memo_inserts;
+      check_stats_.memo_entries += slot.report.memo_entries;
+      if (slot.error && (first_error == nullptr || slot.error_index < first_error->error_index)) {
+        first_error = &slot;
+      }
     }
-    check_stats_.threads = pool;
-    for (const WorkerReport& r : reports) {
-      check_stats_.memo_hits += r.memo_hits;
-      check_stats_.memo_misses += r.memo_misses;
-      check_stats_.memo_inserts += r.memo_inserts;
-      check_stats_.memo_entries += r.memo_entries;
-    }
-    if (batch_error) std::rethrow_exception(batch_error);
+    if (first_error != nullptr) std::rethrow_exception(first_error->error);
   }
 
   for (const CheckResult& r : results) check_stats_.axioms_failed += r.failed.size();

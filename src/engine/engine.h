@@ -3,8 +3,9 @@
 // The paper's case studies check one specification against one recorded
 // trace; a production monitor checks many (spec, trace) pairs — scenario
 // sweeps, per-session traces, seed fans.  The engine takes a batch of N
-// CheckJobs and fans them out across a pool of worker threads.  The design
-// is share-nothing in the style of batch-oriented multiversion systems:
+// CheckJobs and fans them out across a resident pool of worker threads
+// (engine/pool.h).  The design is share-nothing in the style of
+// batch-oriented multiversion systems:
 //
 //   - workers claim job indices from a single atomic counter (no queues,
 //     no locks on the data path),
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/check.h"
@@ -27,6 +29,10 @@
 
 namespace il {
 namespace engine {
+
+namespace detail {
+class ParkedPool;
+}  // namespace detail
 
 /// One unit of checking work.  The spec and trace are borrowed: the caller
 /// must keep them alive until run() returns.
@@ -37,15 +43,14 @@ struct CheckJob {
 };
 
 /// The engine's one options struct, shared by every front-end: the offline
-/// batch families (BatchChecker, BatchDecider), the streaming fleet
-/// (BatchMonitor), and the resident MonitorService.  Each front-end reads
-/// the knobs that concern it and documents any family-specific meaning.
+/// batch families (BatchChecker, BatchDecider) and the resident
+/// MonitorService.  Each front-end reads the knobs that concern it and
+/// documents any family-specific meaning.
 struct Options {
-  /// Worker threads; 0 means std::thread::hardware_concurrency() for the
-  /// offline families and for MonitorService.  The effective pool never
-  /// exceeds the number of jobs, and batches of at most one job run inline
-  /// on the calling thread.  BatchMonitor is the exception: 0 means
-  /// *inline* there (see stream.h).
+  /// Worker threads of the front-end's resident pool; 0 means
+  /// std::thread::hardware_concurrency().  A batch never fans out wider than
+  /// its number of jobs, and batches of at most one job run inline on the
+  /// calling thread.
   std::size_t num_threads = 0;
 
   /// Per-worker subformula memoization (see core/memo.h).  Disabling it is
@@ -84,7 +89,7 @@ struct Options {
 
   /// MonitorService only: how many queued Append commands the coordinator
   /// may fold into one multi-state epoch (one pool wake and one
-  /// begin_epoch() invalidation walk per monitor for the whole block;
+  /// begin_epoch() invalidation pass per monitor for the whole block;
   /// verdict rows are bit-identical to per-state epochs at any value).
   /// Larger batches amortize per-state overhead — higher ingest throughput
   /// — at the cost of verdict latency for the states early in a block; 1
@@ -95,11 +100,10 @@ struct Options {
   /// MonitorService only: per-monitor byte budget for the evaluation stores
   /// (Monitor::footprint_bytes(): obligation graph + memo cache).  0 (the
   /// default) disables accounting entirely.  A monitor found over budget at
-  /// an epoch boundary degrades one rung per epoch: first a forced
-  /// mark-and-sweep GC (Monitor::gc_obligations), then a settled-parent
-  /// compaction sweep, then demotion to Mode::Scratch (correct but slower,
-  /// and with the stores freed), then quarantine — each transition counted
-  /// in ServiceStats and rendered by dump().
+  /// an epoch boundary gets a forced mark-and-sweep GC
+  /// (Monitor::gc_obligations); if its footprint is still over budget right
+  /// after the sweep, it is quarantined.  Both steps are counted in
+  /// ServiceStats (budget_gcs, budget_quarantines) and rendered by dump().
   std::size_t obligation_byte_budget = 0;
 
   /// Automatic obligation-graph GC pacing, applied to every monitor the
@@ -130,7 +134,7 @@ struct Options {
 /// how much memoization paid across the whole fleet.
 struct CheckStats {
   std::size_t jobs = 0;
-  std::size_t threads = 0;       ///< workers actually spawned (0 = inline)
+  std::size_t threads = 0;       ///< worker slots the batch ran on (0 = inline)
   std::size_t memo_hits = 0;     ///< summed over worker caches
   std::size_t memo_misses = 0;
   std::size_t memo_inserts = 0;  ///< entries stored across worker caches
@@ -139,9 +143,9 @@ struct CheckStats {
   std::size_t axioms_failed = 0;
 };
 
-/// Streaming-fleet counters (BatchMonitor, and per shard inside
-/// MonitorService): the monitors' settled caches summed into memo_*, their
-/// obligation graphs into obligation_*.
+/// Streaming-fleet counters (per shard inside MonitorService, and summed
+/// over shards in ServiceStats::totals): the monitors' settled caches summed
+/// into memo_*, their obligation graphs into obligation_*.
 struct StreamStats {
   std::size_t monitors = 0;  ///< resident monitors
   std::size_t threads = 0;   ///< pool workers serving the fleet (0 = inline)
@@ -174,7 +178,14 @@ struct StreamStats {
 
 class BatchChecker {
  public:
+  /// Spawns the resident worker pool (engine/pool.h) when the resolved
+  /// num_threads exceeds 1; workers park between runs, so a checker
+  /// serving many batches pays the spawn once.
   explicit BatchChecker(Options options = {});
+  ~BatchChecker();
+
+  BatchChecker(const BatchChecker&) = delete;
+  BatchChecker& operator=(const BatchChecker&) = delete;
 
   /// Checks every job; results[i] corresponds to jobs[i].  Deterministic:
   /// independent of thread count and scheduling.  Exceptions thrown by a
@@ -189,6 +200,7 @@ class BatchChecker {
  private:
   Options options_;
   CheckStats check_stats_;
+  std::unique_ptr<detail::ParkedPool> pool_;  ///< null = fully inline
 };
 
 /// Checks one job with an optional caller-provided cache.  This is the unit

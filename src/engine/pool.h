@@ -1,29 +1,22 @@
-// The engine's shared fan-out machinery.  Two loops live here:
+// The engine's shared fan-out machinery: ParkedPool, a resident worker
+// pool.  Workers claim job indices from a single atomic counter, results
+// land in pre-sized slots, and the lowest-indexed exception is rethrown on
+// the calling thread.  The workers are spawned once and *parked* on a
+// condition variable between runs instead of being created and joined per
+// batch.  A run() is a wake (publish a context + notify) and a drain (the
+// caller claims indices alongside the workers until the context is
+// exhausted), which costs microseconds where a thread spawn costs tens —
+// the difference that makes fine-grained streaming pay off.  Every engine
+// front-end fans out through it: BatchChecker (engine.h), BatchDecider
+// (decision.h), and the resident MonitorService (service.h).
 //
-//   run_claimed() — spawn-per-batch: workers claim job indices from a single
-//   atomic counter, results land in pre-sized slots, and the lowest-indexed
-//   exception is rethrown on the calling thread.  Kept for one-shot callers
-//   that cannot amortize a resident pool; the engine job families have all
-//   moved to ParkedPool.
-//
-//   ParkedPool — the resident variant: the same claim-counter loop, but the
-//   workers are spawned once and *parked* on a condition variable between
-//   runs instead of being created and joined per batch.  A run() is a wake
-//   (publish a context + notify) and a drain (the caller claims indices
-//   alongside the workers until the context is exhausted), which costs
-//   microseconds where a thread spawn costs tens — the difference that makes
-//   fine-grained streaming pay off.  The streaming family (stream.h), the
-//   resident MonitorService (service.h), and the decision family
-//   (decision.h) run their epochs through it.
-//
-//   Runs nest: a body executing under run() may call run_nested() to fan a
-//   sub-frontier (e.g. one decision's tableau wave) across whatever workers
-//   are currently parked.  Open contexts form a stack; parked workers join
-//   the most recently opened context first, so helpers flow to the deepest
-//   frontier.  The nested caller always participates in its own claim loop,
-//   so a nested run makes progress — degrading to an inline loop — even
-//   when every other worker is busy, and can never deadlock on pool
-//   exhaustion.
+// Runs nest: a body executing under run() may call run_nested() to fan a
+// sub-frontier (e.g. one decision's tableau wave) across whatever workers
+// are currently parked.  Open contexts form a stack; parked workers join the
+// most recently opened context first, so helpers flow to the deepest
+// frontier.  The nested caller always participates in its own claim loop, so
+// a nested run makes progress — degrading to an inline loop — even when
+// every other worker is busy, and can never deadlock on pool exhaustion.
 #pragma once
 
 #include <atomic>
@@ -53,56 +46,9 @@ inline std::size_t effective_pool(std::size_t jobs, std::size_t requested) {
   return pool;
 }
 
-/// Runs `body(state, i)` for every i in [0, count) across `pool` worker
-/// threads.  `make_worker(w)` builds per-worker state on the worker thread;
-/// `finish(state, w)` runs there after the claim loop drains (use it to
-/// publish per-worker counters).  Exceptions thrown by `body` are captured
-/// per worker and the one with the lowest job index is rethrown here after
-/// all workers join.  Requires pool >= 1; the caller handles the inline
-/// (pool <= 1) fast path itself if it wants to avoid a thread spawn.
-template <typename MakeWorker, typename Body, typename Finish>
-void run_claimed(std::size_t count, std::size_t pool, MakeWorker&& make_worker, Body&& body,
-                 Finish&& finish) {
-  struct Capture {
-    std::size_t index = 0;
-    std::exception_ptr error;
-  };
-  std::atomic<std::size_t> next{0};
-  std::vector<Capture> errors(pool);
-  std::vector<std::thread> workers;
-  workers.reserve(pool);
-  for (std::size_t w = 0; w < pool; ++w) {
-    workers.emplace_back([&, w]() {
-      auto state = make_worker(w);
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        try {
-          body(state, i);
-        } catch (...) {
-          // Indices claimed by one worker increase, so the first capture is
-          // this worker's lowest.
-          if (!errors[w].error) {
-            errors[w].error = std::current_exception();
-            errors[w].index = i;
-          }
-        }
-      }
-      finish(state, w);
-    });
-  }
-  for (auto& t : workers) t.join();
-
-  const Capture* first = nullptr;
-  for (const Capture& c : errors) {
-    if (c.error && (first == nullptr || c.index < first->index)) first = &c;
-  }
-  if (first != nullptr) std::rethrow_exception(first->error);
-}
-
 /// A resident worker pool.  Threads are spawned once, park on a condition
 /// variable between runs, and execute a claim-counter loop over each run's
-/// context when woken, with the same contracts as run_claimed():
+/// context when woken:
 ///
 ///   - run(count, body) executes body(i) for every i in [0, count) exactly
 ///     once; callers pre-size result slots so output order is input order,

@@ -29,7 +29,6 @@ struct MonitorService::Command {
   MonitorId id = 0;       ///< Register / Retire / Reinstate
   Spec spec;              ///< Register (owned copy)
   Env env;                ///< Register
-  Monitor::Mode mode = Monitor::Mode::Incremental;  ///< Register
 };
 
 /// Monitors live in the shard owning their id (id % shards).  The shard
@@ -57,13 +56,11 @@ struct MonitorService::Shard {
     // from scratch after its stores were freed by the quarantine.
     Spec spec;
     Env env;
-    Monitor::Mode mode = Monitor::Mode::Incremental;
     std::exception_ptr fault;  ///< set while Quarantined
     std::uint32_t faults = 0;  ///< quarantine events on this slot, lifetime
     /// States of the slot's stream applied since the last fault — the
     /// deterministic backoff clock gating reinstate().
     std::uint64_t states_since_fault = 0;
-    std::uint8_t degrade = 0;  ///< budget-ladder rungs already taken (0..3)
   };
 
   mutable std::mutex mu;
@@ -73,10 +70,8 @@ struct MonitorService::Shard {
   std::size_t retired_compactions = 0;  ///< tombstone sweeps, lifetime
   std::size_t quarantined = 0;  ///< slots in SlotState::Quarantined (gauge)
   std::size_t quarantines = 0;  ///< quarantine events, lifetime
-  std::size_t budget_gcs = 0;          ///< budget rung 1: forced GC sweeps
-  std::size_t budget_compactions = 0;  ///< budget rung 2: forced compactions
-  std::size_t budget_demotions = 0;    ///< budget rung 3: to Mode::Scratch
-  std::size_t budget_quarantines = 0;  ///< budget rung 4: quarantined
+  std::size_t budget_gcs = 0;          ///< over budget: forced GC sweeps
+  std::size_t budget_quarantines = 0;  ///< still over budget after the GC
 
   // Stream counters (lifetime; survive retirement).
   std::size_t states = 0;
@@ -178,8 +173,7 @@ void MonitorService::enqueue(Command cmd) {
   queue_ready_.notify_one();
 }
 
-MonitorId MonitorService::register_spec(StreamId stream, const Spec& spec, Env env,
-                                        Monitor::Mode mode) {
+MonitorId MonitorService::register_spec(StreamId stream, const Spec& spec, Env env) {
   MonitorId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -194,13 +188,12 @@ MonitorId MonitorService::register_spec(StreamId stream, const Spec& spec, Env e
   cmd.id = id;
   cmd.spec = spec;
   cmd.env = std::move(env);
-  cmd.mode = mode;
   enqueue(std::move(cmd));
   return id;
 }
 
-MonitorId MonitorService::register_spec(const Spec& spec, Env env, Monitor::Mode mode) {
-  return register_spec(kDefaultStream, spec, std::move(env), mode);
+MonitorId MonitorService::register_spec(const Spec& spec, Env env) {
+  return register_spec(kDefaultStream, spec, std::move(env));
 }
 
 void MonitorService::retire(MonitorId id) {
@@ -371,11 +364,10 @@ void MonitorService::apply_barrier(Command& cmd) {
     slot.stream = cmd.stream;
     slot.spec = std::move(cmd.spec);
     slot.env = std::move(cmd.env);
-    slot.mode = cmd.mode;
     try {
       IL_FAULT_SCOPE(cmd.id);
       IL_INJECT_FAULT("service.register");
-      slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env, slot.mode);
+      slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env);
       slot.monitor->set_gc_fraction(options_.obligation_gc_fraction);
     } catch (...) {
       // Quarantined at birth: the spec failed to build.  The slot still
@@ -422,11 +414,10 @@ void MonitorService::apply_barrier(Command& cmd) {
           try {
             IL_FAULT_SCOPE(cmd.id);
             IL_INJECT_FAULT("service.register");
-            slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env, slot.mode);
+            slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env);
             slot.monitor->set_gc_fraction(options_.obligation_gc_fraction);
             slot.state = Shard::SlotState::Active;
             slot.fault = nullptr;
-            slot.degrade = 0;
             slot.states_since_fault = 0;
             ++sh.live;
             --sh.quarantined;
@@ -658,7 +649,7 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
         // key == MonitorId fires deterministically at any pool width.
         IL_FAULT_SCOPE(slot.id);
         try {
-          // The whole sub-block in one call: one begin_epoch() walk, one
+          // The whole sub-block in one call: one begin_epoch() pass, one
           // settled-cache pass, per-state verdicts at virtual horizons.
           slot.monitor->append_block(states.data(), states.size(), column.data());
         } catch (...) {
@@ -683,25 +674,14 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
       }
       sh.axioms_checked += slot.monitor->spec().all().size() * states.size();
       sh.verdicts += states.size();
-      // Staged degradation: one rung per epoch while the monitor's stores
-      // exceed the byte budget — obligation GC, then compaction, then
-      // Scratch demotion, then quarantine.  The rows of the epoch that
-      // crossed a rung are already written (the degradation applies from
-      // the *next* epoch on).
+      // Byte budget: a monitor whose stores exceed it gets a forced
+      // obligation GC; if the sweep cannot bring the footprint back under
+      // budget, the monitor is quarantined.  The rows of this epoch are
+      // already written, so the quarantine applies from the next epoch on.
       if (budget != 0 && slot.monitor->footprint_bytes() > budget) {
-        if (slot.degrade == 0 && slot.mode == Monitor::Mode::Incremental) {
-          slot.monitor->gc_obligations();
-          slot.degrade = 1;
-          ++sh.budget_gcs;
-        } else if (slot.degrade <= 1 && slot.mode == Monitor::Mode::Incremental) {
-          slot.monitor->compact_settled();
-          slot.degrade = 2;
-          ++sh.budget_compactions;
-        } else if (slot.degrade <= 2 && slot.mode == Monitor::Mode::Incremental) {
-          slot.monitor->demote_to_scratch();
-          slot.degrade = 3;
-          ++sh.budget_demotions;
-        } else {
+        slot.monitor->gc_obligations();
+        ++sh.budget_gcs;
+        if (slot.monitor->footprint_bytes() > budget) {
           quarantine_slot_locked(sh, w.slot,
                                  std::make_exception_ptr(std::runtime_error(
                                      "monitor exceeded obligation_byte_budget")));
@@ -930,8 +910,6 @@ ServiceStats MonitorService::stats() const {
     out.monitors_quarantined += sh.quarantined;
     out.quarantines += sh.quarantines;
     out.budget_gcs += sh.budget_gcs;
-    out.budget_compactions += sh.budget_compactions;
-    out.budget_demotions += sh.budget_demotions;
     out.budget_quarantines += sh.budget_quarantines;
     out.totals.monitors += ss.monitors;
     out.totals.verdicts += ss.verdicts;
@@ -992,8 +970,6 @@ void MonitorService::dump(std::ostream& os) const {
   service.emit("reinstate_misses", s.reinstate_misses);
   service.emit("reinstate_refused", s.reinstate_refused);
   service.emit("budget_gcs", s.budget_gcs);
-  service.emit("budget_compactions", s.budget_compactions);
-  service.emit("budget_demotions", s.budget_demotions);
   service.emit("budget_quarantines", s.budget_quarantines);
   service.emit("decision_jobs", s.decision_jobs);
   for (std::size_t i = 0; i < shards_.size(); ++i) dump_shard(i, os);
@@ -1012,8 +988,6 @@ void MonitorService::dump_shard(std::size_t shard, std::ostream& os) const {
   kv.emit("quarantined", sh.quarantined);
   kv.emit("quarantines", sh.quarantines);
   kv.emit("budget_gcs", sh.budget_gcs);
-  kv.emit("budget_compactions", sh.budget_compactions);
-  kv.emit("budget_demotions", sh.budget_demotions);
   kv.emit("budget_quarantines", sh.budget_quarantines);
   KvWriter dec = kv.scoped("decision");
   dump_counters(dec, sh.decisions);

@@ -1,11 +1,13 @@
 // MonitorService: monitoring as a *service* rather than a library call.
 //
-// BatchMonitor (stream.h) is a fleet with a fixed membership driven from the
-// caller's thread.  A production deployment needs the transpose of control:
-// monitors come and go at runtime while ingest streams flow, the caller
-// must never be blocked by evaluation (only by explicit backpressure), and
-// an operator must be able to watch the engine's internals live.  The
-// MonitorService is that resident process component:
+// A Monitor (core/monitor.h) checks one spec over one stream, driven from
+// the caller's thread.  A fleet needs the transpose of control: monitors
+// come and go at runtime while ingest streams flow, the caller must never
+// be blocked by evaluation (only by explicit backpressure), and an operator
+// must be able to watch the engine's internals live.  The MonitorService is
+// that resident process component, and the library's one fleet driver (a
+// fixed fleet is just a service whose registrations all precede the first
+// append):
 //
 //   Ingest — append()/try_append() enqueue states onto a *bounded* command
 //   queue (Options::queue_capacity).  append() blocks while the queue is
@@ -36,9 +38,9 @@
 //   across a persistent *parked* worker pool (detail::ParkedPool,
 //   engine/pool.h), and each shard advances every subscribed monitor
 //   through its stream's whole sub-block in one Monitor::append_block call
-//   — one begin_epoch() invalidation walk and one settled-cache pass cover
+//   — one begin_epoch() invalidation pass and one settled-cache pass cover
 //   the block, which is what converts per-state coordinator overhead
-//   (wake + walk + drain x N) into per-batch overhead.
+//   (wake + invalidate + drain x N) into per-batch overhead.
 //
 //   Verdicts — every appended state produces one VerdictRow (stream, seq,
 //   and the per-monitor verdicts of that stream, ordered by MonitorId) into
@@ -58,8 +60,8 @@
 //   Introspection — dump() / dump_shard() render every counter family as
 //   stable `key value` text (engine/introspect.h): service-level gauges
 //   (including queue_peak, epoch_batches, states_per_batch_max), then per
-//   shard the engine, eval-cache (memo.*), obligation-graph, compaction,
-//   and decision-cache (decision.*) counters.  A shard dump is snapshot-
+//   shard the engine, eval-cache (memo.*), obligation-graph, tombstone and
+//   budget, and decision-cache (decision.*) counters.  A shard dump is snapshot-
 //   consistent: all of its lines are read under the shard's mutex, between
 //   epochs touching that shard.
 //
@@ -77,10 +79,9 @@
 //   must sit out 2^(k-1) states of its stream, capped at 2^16) and a retry
 //   budget (Options::max_reinstate_attempts).  Resource faults feed the same
 //   machinery: with Options::obligation_byte_budget set, a monitor found
-//   over budget at an epoch boundary degrades one rung per epoch —
-//   forced obligation GC, then settled-parent compaction, then demotion to
-//   Mode::Scratch, then quarantine — each rung counted in ServiceStats and
-//   rendered by dump().
+//   over budget at an epoch boundary gets a forced obligation GC, and is
+//   quarantined if its footprint is still over budget right after the
+//   sweep — both steps counted in ServiceStats and rendered by dump().
 //
 // Error contract: *poisoning* remains only for coordinator-level invariant
 // violations (a throw escaping the command loop itself, e.g. an injected
@@ -224,10 +225,8 @@ struct ServiceStats {
   std::size_t reinstates = 0;   ///< successful reinstate()s, lifetime
   std::size_t reinstate_misses = 0;   ///< reinstate() of unknown/active id
   std::size_t reinstate_refused = 0;  ///< refused by backoff or retry budget
-  std::size_t budget_gcs = 0;          ///< degradation rung 1: forced GC sweeps
-  std::size_t budget_compactions = 0;  ///< degradation rung 2: forced compactions
-  std::size_t budget_demotions = 0;    ///< degradation rung 3: to Scratch
-  std::size_t budget_quarantines = 0;  ///< degradation rung 4: quarantined
+  std::size_t budget_gcs = 0;          ///< over budget: forced GC sweeps
+  std::size_t budget_quarantines = 0;  ///< still over budget after the GC: quarantined
   std::size_t decision_jobs = 0;  ///< lifetime, via decide()
   StreamStats totals;  ///< summed over shards
 };
@@ -253,12 +252,10 @@ class MonitorService {
   /// alive) subscribed to `stream`, and returns its stable id.  Sequenced
   /// on the command queue: the monitor sees exactly the states appended to
   /// its stream after this call.  Blocks while the queue is full.
-  MonitorId register_spec(StreamId stream, const Spec& spec, Env env = {},
-                          Monitor::Mode mode = Monitor::Mode::Incremental);
+  MonitorId register_spec(StreamId stream, const Spec& spec, Env env = {});
 
   /// Single-stream convenience: register on kDefaultStream.
-  MonitorId register_spec(const Spec& spec, Env env = {},
-                          Monitor::Mode mode = Monitor::Mode::Incremental);
+  MonitorId register_spec(const Spec& spec, Env env = {});
 
   /// Retires `id`: the monitor's obligation graph and settled-cache entries
   /// are freed when the command is applied.  Retiring an unknown id is

@@ -1,10 +1,10 @@
 // A neutral parallel-for handle, so the formula layers (ltl/, lll/) can fan
 // pure per-item work across threads without depending on engine headers.
 //
-// A ParallelFor is just a width plus a run function with run_claimed()'s
-// contract: run(count, item) executes item(i) for every i in [0, count)
-// exactly once and returns only after all calls complete; exceptions
-// propagate to the caller (lowest index wins when several throw).  The
+// A ParallelFor is just a width plus a run function with ParkedPool::run()'s
+// contract (engine/pool.h): run(count, item) executes item(i) for every i in
+// [0, count) exactly once and returns only after all calls complete;
+// exceptions propagate to the caller (lowest index wins when several throw).  The
 // engine binds one to ParkedPool::run_nested(); tests can bind a plain
 // loop or a std::thread fan-out.
 //

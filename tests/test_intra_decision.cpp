@@ -31,10 +31,11 @@ namespace {
 using lll::GraphBuilder;
 
 // ---------------------------------------------------------------------------
-// A std::thread-backed ParallelFor with run_claimed()'s contract: every index
-// exactly once, exceptions propagate (lowest worker slot wins).  This is the
-// "tests can bind a plain std::thread fan-out" binding util/parallel.h
-// promises, so the layer APIs are exercised without the engine pool.
+// A std::thread-backed ParallelFor with ParkedPool::run()'s contract: every
+// index exactly once, exceptions propagate (lowest worker slot wins).  This
+// is the "tests can bind a plain std::thread fan-out" binding
+// util/parallel.h promises, so the layer APIs are exercised without the
+// engine pool.
 // ---------------------------------------------------------------------------
 util::ParallelFor thread_fan(std::size_t width) {
   util::ParallelFor par;

@@ -2,11 +2,9 @@
 // case-study specification (mutex, queue, AB protocol, self-timed, arbiter)
 // the append()-driven verdict stream must be bit-identical — the same
 // axioms fail, reported in the same order, at *every* prefix of the trace —
-// to (a) the scratch-mode monitor (the pre-incremental evaluation path,
-// kept behind Monitor::Mode::Scratch exactly for this comparison) and
-// (b) a from-scratch uncached check of each prefix.  Good and misbehaving
-// runs are both streamed, sequentially and through engine::BatchMonitor at
-// several pool sizes.
+// to a from-scratch uncached check of each prefix (tests/oracle.h).  Good
+// and misbehaving runs are both streamed, one Monitor at a time and through
+// a MonitorService fleet at several pool widths.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,7 +13,8 @@
 
 #include "core/check.h"
 #include "core/monitor.h"
-#include "engine/stream.h"
+#include "engine/service.h"
+#include "oracle.h"
 #include "systems/ab_protocol.h"
 #include "systems/arbiter.h"
 #include "systems/mutex.h"
@@ -86,29 +85,20 @@ struct StreamCases {
   }
 };
 
-TEST(MonitorIncremental, BitIdenticalToScratchAtEveryPrefix) {
+TEST(MonitorIncremental, BitIdenticalToUncachedAtEveryPrefix) {
   StreamCases cases;
   std::size_t failing_prefixes = 0;
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     const Spec& spec = *cases.spec_of[c];
     const Trace& run = cases.traces[c];
-    Monitor inc(spec);  // Mode::Incremental is the default
-    Monitor scratch(spec, {}, Monitor::Mode::Scratch);
-    Trace prefix;
+    const std::vector<CheckResult> oracle = prefix_oracle(spec, run);
+    Monitor inc(spec);
     for (std::size_t k = 0; k < run.size(); ++k) {
-      const State& s = run.states()[k];
-      const CheckResult from_inc = inc.append(s);
-      scratch.observe(s);
-      const CheckResult from_scratch = scratch.current();
-      prefix.push(s);
-      const CheckResult ground = check_spec_cached(spec, prefix, {}, nullptr);
-
-      ASSERT_EQ(from_inc.ok, ground.ok) << "case " << c << " prefix " << k;
-      ASSERT_EQ(from_inc.failed, ground.failed) << "case " << c << " prefix " << k;
-      ASSERT_EQ(from_scratch.ok, ground.ok) << "case " << c << " prefix " << k;
-      ASSERT_EQ(from_scratch.failed, ground.failed) << "case " << c << " prefix " << k;
-      failing_prefixes += ground.ok ? 0 : 1;
+      const CheckResult got = inc.append(run.states()[k]);
+      ASSERT_EQ(got.ok, oracle[k].ok) << "case " << c << " prefix " << k;
+      ASSERT_EQ(got.failed, oracle[k].failed) << "case " << c << " prefix " << k;
     }
+    failing_prefixes += count_failing(oracle);
   }
   // The corpus must actually exercise failures, or agreement proves little.
   EXPECT_GT(failing_prefixes, 0u);
@@ -143,60 +133,43 @@ TEST(MonitorIncremental, ObligationGraphTracksSettlement) {
   }
 }
 
-TEST(MonitorIncremental, BatchMonitorPoolsAreDeterministicAndIdentical) {
+TEST(MonitorIncremental, ServiceFleetsMatchUncachedAtEveryPrefix) {
   StreamCases cases;
+  constexpr std::size_t kSubscribers = 4;
+  std::size_t failing_prefixes = 0;
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     const Spec& spec = *cases.spec_of[c];
     const Trace& run = cases.traces[c];
-    // Four subscribers to one stream: incremental and scratch monitors
-    // interleaved, so every feed cross-checks the two evaluation paths.
-    std::vector<engine::MonitorJob> jobs;
-    jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-    jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-    jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-    jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-
-    // Reference stream: single-threaded fleet.
-    std::vector<std::vector<CheckResult>> reference;
-    {
+    const std::vector<CheckResult> oracle = prefix_oracle(spec, run);
+    failing_prefixes += count_failing(oracle);
+    // Several subscribers to one stream at pool widths 1, 2 and 4: every
+    // row slot must carry the reference verdict for its prefix.
+    for (const std::size_t threads : {1u, 2u, 4u}) {
       engine::Options opts;
-      opts.num_threads = 1;
-      engine::BatchMonitor fleet(jobs, opts);
-      for (const State& s : run.states()) {
-        const auto& v = fleet.feed(s);
-        ASSERT_EQ(v.size(), jobs.size());
-        for (std::size_t j = 1; j < v.size(); ++j) {
-          ASSERT_EQ(v[j].ok, v[0].ok) << "case " << c << " job " << j;
-          ASSERT_EQ(v[j].failed, v[0].failed) << "case " << c << " job " << j;
+      opts.num_threads = threads;
+      engine::MonitorService service(opts);
+      for (std::size_t j = 0; j < kSubscribers; ++j) service.register_spec(spec);
+      for (const State& s : run.states()) service.append(s);
+      service.flush();
+      const std::vector<engine::VerdictRow> rows = service.drain();
+      ASSERT_EQ(rows.size(), run.size()) << "case " << c << " threads " << threads;
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        ASSERT_EQ(rows[k].verdicts.size(), kSubscribers);
+        for (std::size_t j = 0; j < kSubscribers; ++j) {
+          const CheckResult& got = rows[k].verdicts[j].result;
+          ASSERT_EQ(got.ok, oracle[k].ok)
+              << "case " << c << " threads " << threads << " state " << k << " job " << j;
+          ASSERT_EQ(got.failed, oracle[k].failed)
+              << "case " << c << " threads " << threads << " state " << k << " job " << j;
         }
-        reference.push_back(v);
       }
-      EXPECT_EQ(fleet.states_fed(), run.size());
-      const engine::StreamStats& stats = fleet.stream_stats();
-      EXPECT_EQ(stats.states, run.size());
-      EXPECT_EQ(stats.verdicts, run.size() * jobs.size());
+      const engine::StreamStats stats = service.stats().totals;
+      EXPECT_EQ(stats.verdicts, run.size() * kSubscribers);
       EXPECT_GT(stats.obligation_entries, 0u);
       EXPECT_GT(stats.obligation_recomputed, 0u);
     }
-
-    // Wider pools must reproduce the reference verdict stream exactly.
-    for (const std::size_t threads : {2u, 4u}) {
-      engine::Options opts;
-      opts.num_threads = threads;
-      engine::BatchMonitor fleet(jobs, opts);
-      std::size_t k = 0;
-      for (const State& s : run.states()) {
-        const auto& v = fleet.feed(s);
-        for (std::size_t j = 0; j < v.size(); ++j) {
-          ASSERT_EQ(v[j].ok, reference[k][j].ok)
-              << "case " << c << " threads " << threads << " state " << k;
-          ASSERT_EQ(v[j].failed, reference[k][j].failed)
-              << "case " << c << " threads " << threads << " state " << k;
-        }
-        ++k;
-      }
-    }
   }
+  EXPECT_GT(failing_prefixes, 0u);
 }
 
 }  // namespace

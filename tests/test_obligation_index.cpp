@@ -1,10 +1,11 @@
-// Tests for the interval-indexed obligation graph (PR 10): the stabbing-query
-// epoch invalidation must be verdict-identical to the legacy reverse walk at
-// every prefix; relocating open event searches must unlink the obligation
-// records they supersede (the orphan leak fixed in this PR); mark-and-sweep
-// GC and settled-parent compaction may fire at arbitrary points without
-// changing a single verdict; and a GC'd long-run monitor's footprint must
-// plateau instead of growing with the trace.
+// Tests for the interval-indexed obligation graph: the stabbing-query epoch
+// invalidation must be verdict-identical to the uncached evaluator at every
+// prefix; an epoch must touch a handful of records, not the graph;
+// relocating open event searches must unlink the obligation records they
+// supersede; a settled record must drop its resume state; mark-and-sweep GC
+// may fire at arbitrary points without changing a single verdict; and a
+// GC'd long-run monitor's footprint must plateau instead of growing with
+// the trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,8 @@
 #include "core/check.h"
 #include "core/memo.h"
 #include "core/monitor.h"
-#include "engine/stream.h"
+#include "engine/service.h"
+#include "oracle.h"
 #include "systems/ab_protocol.h"
 #include "systems/arbiter.h"
 #include "systems/mutex.h"
@@ -35,7 +37,7 @@ std::vector<std::int64_t> domain(std::size_t n) {
 }
 
 /// The case-study corpus from tests/test_monitor_incremental.cpp, reused
-/// here to compare the two invalidation strategies on realistic graphs.
+/// here to exercise the index on realistic graphs.
 struct StreamCases {
   std::deque<Spec> specs;  ///< deque: spec_of pointers survive growth
   std::vector<const Spec*> spec_of;
@@ -110,7 +112,7 @@ State qr(bool q, bool r) {
   return s;
 }
 
-/// Satellite 1: a relocating open event find must unlink the obligation
+/// A relocating open event find must unlink the obligation
 /// record it supersedes immediately, so the graph's resident entry count
 /// stays flat across arbitrarily many relocations (GC disabled: the direct
 /// unlink alone must hold the line, not the sweeper).
@@ -135,12 +137,9 @@ TEST(ObligationIndex, RelocatingEventFindKeepsEntriesFlat) {
   EXPECT_GT(m.obligations().gc_freed(), 0u);  // superseded records were freed
 }
 
-/// Tentpole oracle: the stabbing-query invalidation must produce the exact
-/// verdict stream of the legacy reverse walk at every prefix, on every
-/// case-study spec plus the relocating one.  Where the indexed side has not
-/// freed any record the dirty sets themselves must coincide (seed-set
-/// equivalence), not just the verdicts.
-TEST(ObligationIndex, IndexedMatchesReverseWalkAtEveryPrefix) {
+/// The stabbing-query invalidation must produce the reference verdict
+/// stream at every prefix, on every case-study spec plus the relocating one.
+TEST(ObligationIndex, IndexedMatchesUncachedAtEveryPrefix) {
   StreamCases cases;
   {
     cases.specs.push_back(relocating_spec());
@@ -152,57 +151,74 @@ TEST(ObligationIndex, IndexedMatchesReverseWalkAtEveryPrefix) {
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     const Spec& spec = *cases.spec_of[c];
     const Trace& run = cases.traces[c];
-    Monitor indexed(spec);  // Invalidation::Indexed is the default
-    Monitor legacy(spec);
-    legacy.set_invalidation(ObligationGraph::Invalidation::ReverseWalk);
+    const std::vector<CheckResult> oracle = prefix_oracle(spec, run);
+    Monitor m(spec);
     for (std::size_t k = 0; k < run.size(); ++k) {
-      const State& s = run.states()[k];
-      const CheckResult a = indexed.append(s);
-      const CheckResult b = legacy.append(s);
-      ASSERT_EQ(a.ok, b.ok) << "case " << c << " prefix " << k;
-      ASSERT_EQ(a.failed, b.failed) << "case " << c << " prefix " << k;
-      if (indexed.obligations().gc_freed() == 0) {
-        ASSERT_EQ(indexed.obligations().last_dirtied(), legacy.obligations().last_dirtied())
-            << "case " << c << " prefix " << k;
-      }
-      failing_prefixes += a.ok ? 0 : 1;
+      const CheckResult got = m.append(run.states()[k]);
+      ASSERT_EQ(got.ok, oracle[k].ok) << "case " << c << " prefix " << k;
+      ASSERT_EQ(got.failed, oracle[k].failed) << "case " << c << " prefix " << k;
     }
-    EXPECT_GT(indexed.obligations().index_stabs(), 0u) << "case " << c;
-    EXPECT_EQ(legacy.obligations().index_stabs(), 0u) << "case " << c;
-    EXPECT_EQ(legacy.obligations().index_nodes(), 0u) << "case " << c;
+    EXPECT_GT(m.obligations().index_stabs(), 0u) << "case " << c;
+    failing_prefixes += count_failing(oracle);
   }
   EXPECT_GT(failing_prefixes, 0u);  // the corpus must exercise failures
 }
 
 /// The whole point of the index: an epoch touches the overlapping open
-/// obligations, not the graph.  On a long steady-state stream the per-epoch
-/// seed count must stay far below the population an unindexed graph carries
-/// for the same stream (the reverse-walk graph reclaims nothing, so its
-/// entry count is the old cost of being wrong).
-TEST(ObligationIndex, EpochTouchesFarFewerThanUnindexedEntries) {
+/// obligations, not the graph.  On a long steady-state stream (2048 states,
+/// a !q pulse every 64, GC off) the per-epoch seed count and the resident
+/// record count must both stay at a handful, independent of the trace
+/// length.  The resident count spikes for one epoch at each pulse — the
+/// pulse settles one period's worth of []q probes at once, and the find
+/// prunes them at its next recomputation — so the steady-state bound is
+/// read just before the last pulse and the spike gets its own bound.
+TEST(ObligationIndex, EpochTouchesAHandfulOfRecords) {
+  constexpr std::size_t kTotal = 2048;
+  constexpr std::size_t kPulse = 64;
   Monitor m(relocating_spec());
   m.set_gc_fraction(0.0);
-  Monitor legacy(relocating_spec());
-  legacy.set_invalidation(ObligationGraph::Invalidation::ReverseWalk);
-  legacy.set_gc_fraction(0.0);
-  for (std::size_t k = 0; k < 2048; ++k) {
-    const State s = qr(k % 64 != 63, false);
-    m.append(s);
-    legacy.append(s);
+  std::size_t steady = 0;
+  std::size_t peak = 0;
+  for (std::size_t k = 0; k < kTotal; ++k) {
+    m.append(qr(k % kPulse != kPulse - 1, false));
+    if (k == kTotal - 2) steady = m.obligations().size();
+    peak = std::max(peak, m.obligations().size());
   }
   const ObligationGraph& g = m.obligations();
   ASSERT_GT(g.index_stabs(), 0u);
   const std::size_t avg_touched = g.touched_total() / g.index_stabs();
-  EXPECT_LT(avg_touched * 20, legacy.obligations().size());
-  // Reclamation keeps the indexed graph itself small: the stab could not
-  // be selective if every record it ever made stayed resident.
-  EXPECT_LT(g.size(), legacy.obligations().size() / 10);
+  EXPECT_LE(avg_touched, 8u);  // measured 3
+  // Reclamation keeps the graph itself small: the stab could not be
+  // selective if every record it ever made stayed resident.
+  EXPECT_LE(steady, 64u);          // measured 5
+  EXPECT_LE(peak, kPulse + 8);     // measured 67, at every pulse
   // The tree prunes: nodes visited per stab is O(log n + touched), far
   // below one visit per resident obligation per epoch.
   EXPECT_LT(g.index_visited(), g.index_stabs() * (avg_touched + 2) * 8);
 }
 
-/// Satellite 2: footprint honesty — the graph's byte gauge must cover the
+/// A record that settles while its open-position list is non-empty (a []
+/// pinned false part-way through rechecking its open positions) must free
+/// that list on the spot: settlement is permanent, GC never descends into a
+/// settled record, and a settled root is never freed, so nothing else would
+/// ever reclaim it.
+TEST(ObligationIndex, SettlingFreesOpenPositions) {
+  ObligationGraph g;
+  ObligationGraph::Key key;
+  key.node = 7;
+  key.lo = 3;
+  const ObligationGraph::ObId id = g.obtain(key);
+  g.mark_root(id);
+  ObligationGraph::Obligation& ob = g.at(id);
+  ob.open_positions = {3, 4, 5, 9};
+  ob.settled = true;
+  g.on_settle(id);
+  EXPECT_TRUE(g.at(id).open_positions.empty());
+  EXPECT_EQ(g.at(id).open_positions.capacity(), 0u);
+  EXPECT_TRUE(g.at(id).settled);
+}
+
+/// Footprint honesty — the graph's byte gauge must cover the
 /// interval-tree node pool, and the monitor's footprint must cover both
 /// stores.
 TEST(ObligationIndex, FootprintAccountsForIndexNodes) {
@@ -215,12 +231,11 @@ TEST(ObligationIndex, FootprintAccountsForIndexNodes) {
   EXPECT_GE(m.footprint_bytes(), g.bytes() + m.cache().bytes());
 }
 
-/// Satellite 3 (sequential half): a seeded randomized soak interleaving
-/// appends with forced GC sweeps and settled-parent compaction, with
-/// auto-GC armed at an aggressive fraction.  Verdicts must stay
-/// bit-identical to a scratch monitor (which has no graph, hence no GC) at
-/// every prefix, on the corpus and on the relocating spec.
-TEST(ObligationIndex, SoakGcAndCompactionPreserveVerdicts) {
+/// A seeded randomized soak interleaving appends with forced GC sweeps,
+/// with auto-GC armed at an aggressive fraction.  Verdicts must stay
+/// bit-identical to the reference at every prefix, on the corpus and on the
+/// relocating spec.
+TEST(ObligationIndex, SoakGcPreservesVerdicts) {
   std::mt19937 rng(0xC0FFEEu);
   StreamCases cases;
   {
@@ -232,86 +247,61 @@ TEST(ObligationIndex, SoakGcAndCompactionPreserveVerdicts) {
   }
   std::uniform_int_distribution<int> maintenance(0, 9);
   std::size_t sweeps = 0;
+  std::size_t failing_prefixes = 0;
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     const Spec& spec = *cases.spec_of[c];
     const Trace& run = cases.traces[c];
+    const std::vector<CheckResult> oracle = prefix_oracle(spec, run);
     Monitor inc(spec);
     inc.set_gc_fraction(0.05);
-    Monitor oracle(spec, {}, Monitor::Mode::Scratch);
     for (std::size_t k = 0; k < run.size(); ++k) {
-      const State& s = run.states()[k];
-      const CheckResult a = inc.append(s);
-      oracle.observe(s);
-      const CheckResult b = oracle.current();
-      ASSERT_EQ(a.ok, b.ok) << "case " << c << " prefix " << k;
-      ASSERT_EQ(a.failed, b.failed) << "case " << c << " prefix " << k;
-      switch (maintenance(rng)) {
-        case 0:
-          inc.gc_obligations();
-          break;
-        case 1:
-          inc.compact_settled();
-          break;
-        default:
-          break;
-      }
+      const CheckResult got = inc.append(run.states()[k]);
+      ASSERT_EQ(got.ok, oracle[k].ok) << "case " << c << " prefix " << k;
+      ASSERT_EQ(got.failed, oracle[k].failed) << "case " << c << " prefix " << k;
+      if (maintenance(rng) == 0) inc.gc_obligations();
     }
     sweeps += inc.obligations().gc_sweeps();
+    failing_prefixes += count_failing(oracle);
   }
   EXPECT_GT(sweeps, 0u);
+  EXPECT_GT(failing_prefixes, 0u);
 }
 
-/// Satellite 3 (pool half): the same soak through engine::BatchMonitor at
-/// pool widths 1, 2 and 4 with auto-GC armed fleet-wide — interleaved
-/// incremental and scratch subscribers must agree with each other and the
-/// wider pools must reproduce the width-1 verdict stream exactly.
-TEST(ObligationIndex, SoakPoolWidthsAreDeterministicUnderGc) {
+/// The same soak through a MonitorService fleet at pool widths 1, 2 and 4
+/// with auto-GC armed fleet-wide: every subscriber's row slot must carry
+/// the reference verdict for its prefix.
+TEST(ObligationIndex, SoakPoolWidthsMatchUncachedUnderGc) {
   std::mt19937 rng(0xB0BACAFEu);
   std::uniform_real_distribution<double> u(0.0, 1.0);
   const Spec spec = relocating_spec();
-  std::vector<State> stream;
-  for (std::size_t k = 0; k < 512; ++k) stream.push_back(qr(u(rng) < 0.95, u(rng) < 0.02));
+  Trace run;
+  for (std::size_t k = 0; k < 512; ++k) run.push(qr(u(rng) < 0.95, u(rng) < 0.02));
+  const std::vector<CheckResult> oracle = prefix_oracle(spec, run);
+  EXPECT_GT(count_failing(oracle), 0u);
 
-  std::vector<engine::MonitorJob> jobs;
-  jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-  jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-  jobs.push_back({&spec, {}, Monitor::Mode::Incremental});
-  jobs.push_back({&spec, {}, Monitor::Mode::Scratch});
-
-  std::vector<std::vector<CheckResult>> reference;
-  {
-    engine::Options opts;
-    opts.num_threads = 1;
-    opts.obligation_gc_fraction = 0.05;
-    engine::BatchMonitor fleet(jobs, opts);
-    for (const State& s : stream) {
-      const auto& v = fleet.feed(s);
-      ASSERT_EQ(v.size(), jobs.size());
-      for (std::size_t j = 1; j < v.size(); ++j) {
-        ASSERT_EQ(v[j].ok, v[0].ok) << "job " << j;
-        ASSERT_EQ(v[j].failed, v[0].failed) << "job " << j;
-      }
-      reference.push_back(v);
-    }
-  }
-  for (const std::size_t threads : {2u, 4u}) {
+  constexpr std::size_t kSubscribers = 4;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
     engine::Options opts;
     opts.num_threads = threads;
     opts.obligation_gc_fraction = 0.05;
-    engine::BatchMonitor fleet(jobs, opts);
-    std::size_t k = 0;
-    for (const State& s : stream) {
-      const auto& v = fleet.feed(s);
-      for (std::size_t j = 0; j < v.size(); ++j) {
-        ASSERT_EQ(v[j].ok, reference[k][j].ok) << "threads " << threads << " state " << k;
-        ASSERT_EQ(v[j].failed, reference[k][j].failed) << "threads " << threads << " state " << k;
+    engine::MonitorService service(opts);
+    for (std::size_t j = 0; j < kSubscribers; ++j) service.register_spec(spec);
+    for (const State& s : run.states()) service.append(s);
+    service.flush();
+    const std::vector<engine::VerdictRow> rows = service.drain();
+    ASSERT_EQ(rows.size(), run.size()) << "threads " << threads;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      ASSERT_EQ(rows[k].verdicts.size(), kSubscribers);
+      for (std::size_t j = 0; j < kSubscribers; ++j) {
+        const CheckResult& got = rows[k].verdicts[j].result;
+        ASSERT_EQ(got.ok, oracle[k].ok) << "threads " << threads << " state " << k;
+        ASSERT_EQ(got.failed, oracle[k].failed) << "threads " << threads << " state " << k;
       }
-      ++k;
     }
   }
 }
 
-/// Satellite 3 (footprint half): with the settled cache capped and GC
+/// With the settled cache capped and GC
 /// armed, a long-lived monitor's evaluation-store footprint plateaus — the
 /// max over the final quarter of the run stays within 1.5x the max over the
 /// second quarter, instead of tracking the trace length.
