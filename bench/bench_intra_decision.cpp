@@ -9,8 +9,8 @@
 // frontier sets, prefix-product hits) so the CI gate can check the
 // prefix-product memo actually fired on the deep shapes.
 //
-// The cross-batch DecisionCache is disabled: with it on, every timed
-// iteration after the first would be a pure cache probe.
+// The cross-batch DecisionCache is cleared before every timed iteration:
+// otherwise every iteration after the first would be a pure cache probe.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -59,11 +59,11 @@ void run_single_job(benchmark::State& state, const il::engine::DecisionJob& job)
   il::engine::Options options;
   options.num_threads = 1;  // no outer fan-out: the one job gets the pool
   options.intra_decision_threads = static_cast<std::size_t>(state.range(0));
-  options.decision_cache = false;
   il::engine::BatchDecider decider(options);  // pool spawned once, outside timing
   const std::vector<il::engine::DecisionJob> jobs{job};
   il::engine::DecisionResult last;
   for (auto _ : state) {
+    decider.clear_cache();  // every iteration decides the job afresh
     auto results = decider.run(jobs);
     last = results[0];
     benchmark::DoNotOptimize(results);

@@ -1,5 +1,5 @@
-// E14 — interval-indexed epoch invalidation: steady-state append cost of
-// the stabbing-query obligation graph as the resident trace grows.
+// E14 — reader-list epoch invalidation: steady-state append cost of the
+// obligation graph as the resident trace grows.
 //
 //   bench_obligation_index_append     one append+verdict at steady state,
 //                                     trace lengths 1e2..1e5

@@ -10,10 +10,6 @@
 namespace il {
 
 IncrementalEvaluator::IncrementalEvaluator(const Trace& trace, ObligationGraph* graph,
-                                           EvalCache* settled_cache)
-    : IncrementalEvaluator(trace, graph, settled_cache, trace.last_index()) {}
-
-IncrementalEvaluator::IncrementalEvaluator(const Trace& trace, ObligationGraph* graph,
                                            EvalCache* settled_cache, std::uint64_t horizon)
     : trace_(trace),
       graph_(graph),

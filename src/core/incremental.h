@@ -63,18 +63,17 @@ class IncrementalEvaluator {
   /// evaluator.  Cache keys use trace.stable_id(): the owner must reset()
   /// both stores if the trace is ever rewritten in place (see
   /// Trace::rewrites()).
-  IncrementalEvaluator(const Trace& trace, ObligationGraph* graph, EvalCache* settled_cache);
-
-  /// Virtual-horizon variant for batched epochs (Monitor::append_block):
-  /// evaluates as if the trace ended at index `horizon` (inclusive), which
-  /// must be <= trace.last_index().  Open-world scans stop there and open
-  /// obligations record it, so a block of appends can run ONE
-  /// begin_epoch() and still read every intermediate verdict bit-identical
-  /// to per-state epochs: resume state (frontiers, open positions, rolling
-  /// probes) evolves through the same horizon sequence either way.  The
-  /// closed-world delegate needs no override — settled results are
-  /// horizon-invariant by construction (that is what lets the settled cache
-  /// live forever under appends).
+  ///
+  /// Evaluates as if the trace ended at index `horizon` (inclusive), which
+  /// must be <= trace.last_index(); pass trace.last_index() for the whole
+  /// trace.  Batched epochs (Monitor::append_block) pass intermediate
+  /// horizons.  Open-world scans stop there and open obligations record it,
+  /// so a block of appends can run ONE begin_epoch() and still read every
+  /// intermediate verdict bit-identical to per-state epochs: resume state
+  /// (frontiers, open positions, rolling probes) evolves through the same
+  /// horizon sequence either way.  The closed-world delegate needs no
+  /// override — settled results are horizon-invariant by construction (that
+  /// is what lets the settled cache live forever under appends).
   IncrementalEvaluator(const Trace& trace, ObligationGraph* graph, EvalCache* settled_cache,
                        std::uint64_t horizon);
 

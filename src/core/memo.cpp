@@ -124,147 +124,6 @@ bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
 }
 
 // ---------------------------------------------------------------------------
-// IntervalIndex
-// ---------------------------------------------------------------------------
-
-void IntervalIndex::pull(std::uint32_t n) {
-  Node& nd = nodes_[n];
-  nd.height = 1 + std::max(height(nd.left), height(nd.right));
-  nd.max_hi = std::max(nd.hi, std::max(max_hi(nd.left), max_hi(nd.right)));
-}
-
-std::uint32_t IntervalIndex::rotate_left(std::uint32_t n) {
-  const std::uint32_t r = nodes_[n].right;
-  nodes_[n].right = nodes_[r].left;
-  nodes_[r].left = n;
-  pull(n);
-  pull(r);
-  return r;
-}
-
-std::uint32_t IntervalIndex::rotate_right(std::uint32_t n) {
-  const std::uint32_t l = nodes_[n].left;
-  nodes_[n].left = nodes_[l].right;
-  nodes_[l].right = n;
-  pull(n);
-  pull(l);
-  return l;
-}
-
-std::uint32_t IntervalIndex::rebalance(std::uint32_t n) {
-  pull(n);
-  const std::int32_t bal = height(nodes_[n].left) - height(nodes_[n].right);
-  if (bal > 1) {
-    if (height(nodes_[nodes_[n].left].left) < height(nodes_[nodes_[n].left].right)) {
-      nodes_[n].left = rotate_left(nodes_[n].left);
-    }
-    return rotate_right(n);
-  }
-  if (bal < -1) {
-    if (height(nodes_[nodes_[n].right].right) < height(nodes_[nodes_[n].right].left)) {
-      nodes_[n].right = rotate_right(nodes_[n].right);
-    }
-    return rotate_left(n);
-  }
-  return n;
-}
-
-std::uint32_t IntervalIndex::insert_rec(std::uint32_t n, std::uint32_t fresh) {
-  if (n == kNil) return fresh;
-  const Node& f = nodes_[fresh];
-  if (less(f.lo, f.ob, nodes_[n].lo, nodes_[n].ob)) {
-    nodes_[n].left = insert_rec(nodes_[n].left, fresh);
-  } else {
-    nodes_[n].right = insert_rec(nodes_[n].right, fresh);
-  }
-  return rebalance(n);
-}
-
-void IntervalIndex::insert(std::uint64_t lo, std::uint64_t hi, Payload ob) {
-  std::uint32_t fresh;
-  if (!free_.empty()) {
-    fresh = free_.back();
-    free_.pop_back();
-  } else {
-    fresh = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  nodes_[fresh] = Node{lo, hi, hi, kNil, kNil, ob, 1};
-  root_ = insert_rec(root_, fresh);
-  ++size_;
-}
-
-std::uint32_t IntervalIndex::detach_min(std::uint32_t n, std::uint32_t& min_out) {
-  if (nodes_[n].left == kNil) {
-    min_out = n;
-    return nodes_[n].right;
-  }
-  nodes_[n].left = detach_min(nodes_[n].left, min_out);
-  return rebalance(n);
-}
-
-std::uint32_t IntervalIndex::remove_rec(std::uint32_t n, std::uint64_t lo, Payload ob,
-                                        bool& removed) {
-  if (n == kNil) return kNil;
-  Node& nd = nodes_[n];
-  if (less(lo, ob, nd.lo, nd.ob)) {
-    nd.left = remove_rec(nd.left, lo, ob, removed);
-  } else if (less(nd.lo, nd.ob, lo, ob)) {
-    nd.right = remove_rec(nd.right, lo, ob, removed);
-  } else {
-    removed = true;
-    std::uint32_t replacement;
-    if (nd.left == kNil || nd.right == kNil) {
-      replacement = nd.left == kNil ? nd.right : nd.left;
-    } else {
-      // Two children: splice the right subtree's minimum into this spot.
-      std::uint32_t succ = kNil;
-      const std::uint32_t right = detach_min(nd.right, succ);
-      nodes_[succ].left = nd.left;
-      nodes_[succ].right = right;
-      replacement = rebalance(succ);
-    }
-    free_.push_back(n);
-    --size_;
-    return replacement;
-  }
-  return rebalance(n);
-}
-
-bool IntervalIndex::remove(std::uint64_t lo, Payload ob) {
-  bool removed = false;
-  root_ = remove_rec(root_, lo, ob, removed);
-  return removed;
-}
-
-std::size_t IntervalIndex::stab_rec(std::uint32_t n, std::uint64_t point,
-                                    std::vector<Payload>& out) const {
-  if (n == kNil) return 0;
-  const Node& nd = nodes_[n];
-  // The augmentation prunes: nothing below can end at or after `point`.
-  if (nd.max_hi < point) return 1;
-  std::size_t visited = 1 + stab_rec(nd.left, point, out);
-  if (nd.lo <= point) {
-    if (nd.hi >= point) out.push_back(nd.ob);
-    visited += stab_rec(nd.right, point, out);
-  }
-  return visited;
-}
-
-std::size_t IntervalIndex::stab(std::uint64_t point, std::vector<Payload>& out) const {
-  return stab_rec(root_, point, out);
-}
-
-void IntervalIndex::clear() {
-  nodes_.clear();
-  nodes_.shrink_to_fit();
-  free_.clear();
-  free_.shrink_to_fit();
-  root_ = kNil;
-  size_ = 0;
-}
-
-// ---------------------------------------------------------------------------
 // ObligationGraph
 // ---------------------------------------------------------------------------
 
@@ -305,7 +164,7 @@ void ObligationGraph::seed_and_close(std::vector<ObId>& stack) {
   }
 }
 
-void ObligationGraph::begin_epoch(std::uint64_t horizon) {
+void ObligationGraph::begin_epoch() {
   ++epoch_;
   // Slots freed during the previous epoch become reusable only now: any
   // ObId an in-flight evaluation was still holding has gone cold.
@@ -315,17 +174,14 @@ void ObligationGraph::begin_epoch(std::uint64_t horizon) {
   }
   last_dirtied_ = 0;
   walk_stack_.clear();
-  // The stabbing query: exactly the open obligations whose sensitivity
-  // window [lo, inf) contains the new horizon, in O(log n + touched) node
-  // visits.  They seed the dirty closure; everything else is untouched.
-  stab_out_.clear();
-  ++stabs_;
-  stab_visited_ += tree_.stab(horizon, stab_out_);
-  last_touched_ = stab_out_.size();
-  touched_total_ += stab_out_.size();
-  for (const ObId id : stab_out_) {
+  // Every open reader's window [lo, inf) contains the new horizon, so the
+  // whole list seeds the dirty closure; everything else is untouched.  The
+  // closure only marks records, so walk order cannot change the outcome.
+  last_touched_ = readers_.size();
+  touched_total_ += readers_.size();
+  for (const ObId id : readers_) {
     Obligation& ob = obligations_[id];
-    if (ob.freed || ob.settled || ob.dirty) continue;
+    if (ob.dirty) continue;
     ob.dirty = true;
     ++last_dirtied_;
     ++total_dirtied_;
@@ -359,20 +215,26 @@ ObligationGraph::ObId ObligationGraph::obtain(const Key& key) {
 void ObligationGraph::touch_horizon(ObId attach) {
   if (attach == kNoOb) return;
   Obligation& ob = obligations_[attach];
-  if (ob.in_tree || ob.settled) return;
+  if (ob.reader_pos != kNoOb || ob.settled) return;
   // Once is enough: the window [key.lo, inf) contains every later horizon,
   // so the registration never has to move.
-  tree_.insert(ob.key.lo, IntervalIndex::kInf, attach);
-  ob.in_tree = true;
+  ob.reader_pos = static_cast<ObId>(readers_.size());
+  readers_.push_back(attach);
+}
+
+void ObligationGraph::remove_reader(Obligation& ob) {
+  if (ob.reader_pos == kNoOb) return;
+  const ObId moved = readers_.back();
+  readers_[ob.reader_pos] = moved;
+  obligations_[moved].reader_pos = ob.reader_pos;
+  readers_.pop_back();
+  ob.reader_pos = kNoOb;
 }
 
 void ObligationGraph::on_settle(ObId id) {
   if (id == kNoOb) return;
   Obligation& ob = obligations_[id];
-  if (ob.in_tree) {
-    tree_.remove(ob.key.lo, id);
-    ob.in_tree = false;
-  }
+  remove_reader(ob);
   // Only a recomputation reads the open positions, and a settled record is
   // never recomputed.  Nothing else would reclaim them while the record
   // stays resident: GC never descends into it, and roots are never freed.
@@ -431,12 +293,8 @@ void ObligationGraph::free_record(ObId id) {
   gc_freed_bytes_ += ob.open_positions.capacity() * sizeof(std::uint64_t) +
                      ob.deps.capacity() * sizeof(ObId) +
                      reverse_[id].capacity() * sizeof(ObId) +
-                     (sizeof(Key) + sizeof(ObId) + 2 * sizeof(void*)) +
-                     (ob.in_tree ? IntervalIndex::node_bytes() : 0);
-  if (ob.in_tree) {
-    tree_.remove(ob.key.lo, id);
-    ob.in_tree = false;
-  }
+                     (sizeof(Key) + sizeof(ObId) + 2 * sizeof(void*));
+  remove_reader(ob);
   index_.erase(ob.key);
   // Unlink both directions so no live record is left holding this id.
   const std::vector<ObId> kids = std::move(ob.deps);
@@ -550,11 +408,10 @@ void ObligationGraph::reset() {
   index_.clear();
   reverse_.clear();
   edge_set_.clear();
-  tree_.clear();
+  readers_.clear();
   roots_.clear();
   free_list_.clear();
   free_pending_.clear();
-  stab_out_.clear();
   walk_stack_.clear();
   freed_count_ = 0;
   last_gc_live_ = 0;
@@ -569,10 +426,9 @@ std::size_t ObligationGraph::bytes() const {
   }
   b += reverse_.capacity() * sizeof(std::vector<ObId>);
   for (const std::vector<ObId>& parents : reverse_) b += parents.capacity() * sizeof(ObId);
-  // Interval-index node pool plus the GC bookkeeping vectors.
-  b += tree_.bytes();
-  b += (roots_.capacity() + free_list_.capacity() + free_pending_.capacity() +
-        stab_out_.capacity() + walk_stack_.capacity() + prune_scratch_.capacity()) *
+  // The open-reader list plus the GC bookkeeping vectors.
+  b += (readers_.capacity() + roots_.capacity() + free_list_.capacity() +
+        free_pending_.capacity() + walk_stack_.capacity() + prune_scratch_.capacity()) *
        sizeof(ObId);
   // Hash tables estimated at one node/bucket overhead per entry: exact
   // allocator charges are implementation-specific, but a budget check only

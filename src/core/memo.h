@@ -155,85 +155,6 @@ bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
                        std::int64_t* values_out);
 
 // ---------------------------------------------------------------------------
-// IntervalIndex: augmented balanced tree over trace-sensitivity intervals.
-// ---------------------------------------------------------------------------
-
-/// An augmented AVL interval tree mapping closed intervals [lo, hi] (hi may
-/// be kInf for half-open sensitivity windows) to 32-bit payloads, supporting
-/// stabbing queries: "which intervals contain point p?" in
-/// O(log n + reported) node visits.  This is the index behind
-/// ObligationGraph::begin_epoch(): each open obligation registers the trace
-/// interval it is sensitive to, and an epoch stabs the tree at the new
-/// horizon instead of walking a sentinel's reverse-dependency list — the
-/// same tree-structured version indexing that lets multiversion B-trees pay
-/// only for overlapping versions.
-///
-/// Nodes live in a dense vector with a free list (no per-node allocation);
-/// entries are keyed by the composite (lo, payload), so removal needs the
-/// same (lo, payload) pair the entry was inserted under.  Single-threaded,
-/// like the graph that owns it.
-class IntervalIndex {
- public:
-  using Payload = std::uint32_t;
-  static constexpr std::uint64_t kInf = ~0ull;
-
-  /// Inserts [lo, hi] for `ob`.  The caller keeps (lo, ob) pairs unique.
-  void insert(std::uint64_t lo, std::uint64_t hi, Payload ob);
-
-  /// Removes the entry inserted as (lo, ob); false if absent.
-  bool remove(std::uint64_t lo, Payload ob);
-
-  /// Appends every payload whose interval contains `point` to `out`, in
-  /// (lo, payload) order; returns the tree nodes visited (the
-  /// O(log n + reported) work bound, exported as a counter).
-  std::size_t stab(std::uint64_t point, std::vector<Payload>& out) const;
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  void clear();
-
-  /// Bytes held by the node pool and free list (capacity: what the
-  /// allocator charges, not the live count).
-  std::size_t bytes() const {
-    return nodes_.capacity() * sizeof(Node) + free_.capacity() * sizeof(std::uint32_t);
-  }
-  /// Per-node footprint, for freed-bytes accounting by the owner.
-  static std::size_t node_bytes() { return sizeof(Node); }
-
- private:
-  struct Node {
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    std::uint64_t max_hi = 0;  ///< max hi over this subtree (the augmentation)
-    std::uint32_t left = kNil;
-    std::uint32_t right = kNil;
-    Payload ob = 0;
-    std::int32_t height = 1;
-  };
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  std::int32_t height(std::uint32_t n) const { return n == kNil ? 0 : nodes_[n].height; }
-  std::uint64_t max_hi(std::uint32_t n) const { return n == kNil ? 0 : nodes_[n].max_hi; }
-  void pull(std::uint32_t n);                ///< recompute height and max_hi
-  std::uint32_t rotate_left(std::uint32_t n);
-  std::uint32_t rotate_right(std::uint32_t n);
-  std::uint32_t rebalance(std::uint32_t n);
-  /// (lo, ob) composite order.
-  static bool less(std::uint64_t alo, Payload aob, std::uint64_t blo, Payload bob) {
-    return alo != blo ? alo < blo : aob < bob;
-  }
-  std::uint32_t insert_rec(std::uint32_t n, std::uint32_t fresh);
-  std::uint32_t remove_rec(std::uint32_t n, std::uint64_t lo, Payload ob, bool& removed);
-  std::uint32_t detach_min(std::uint32_t n, std::uint32_t& min_out);
-  std::size_t stab_rec(std::uint32_t n, std::uint64_t point, std::vector<Payload>& out) const;
-
-  std::uint32_t root_ = kNil;
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_;
-  std::size_t size_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // ObligationGraph: settled/open obligation states for incremental monitoring.
 // ---------------------------------------------------------------------------
 
@@ -254,16 +175,17 @@ class IntervalIndex {
 ///   - explicit dependency edges to the child obligations, reverse-indexed
 ///     for invalidation.
 ///
-/// When a state is appended, begin_epoch(horizon) runs the
-/// change-propagation pass.  Every open obligation that reads the
-/// stuttering horizon is registered in an IntervalIndex under the half-open
-/// sensitivity window [key.lo, inf) — removed the moment it settles or is
-/// freed — and an epoch is a stabbing query at the new horizon: O(log n +
-/// touched) to produce exactly the overlapping open obligations, which seed
-/// the reverse-dependency dirty closure.  Settled obligations are
-/// firewalls — they are never marked and the closure does not pass through
-/// them — which is exactly how verdicts for closed intervals stay pinned
-/// while only the live suffix re-settles.  Recomputation itself is lazy:
+/// When a state is appended, begin_epoch() runs the change-propagation
+/// pass.  Every open obligation that reads the stuttering horizon is
+/// registered once on a flat list of open readers — and swap-removed the
+/// moment it settles or is freed.  Its sensitivity window is [key.lo, inf):
+/// evaluation is over stuttering-extended traces, so the window never ends
+/// and every later horizon falls inside it.  An epoch therefore walks the
+/// whole list, O(touched), and the readers seed the reverse-dependency
+/// dirty closure.  Settled obligations are firewalls — they are never
+/// marked and the closure does not pass through them — which is exactly
+/// how verdicts for closed intervals stay pinned while only the live suffix
+/// re-settles.  Recomputation itself is lazy:
 /// the evaluator re-settles a dirty obligation the next time a root verdict
 /// needs it.
 ///
@@ -325,6 +247,9 @@ class ObligationGraph {
     EvalCache::Entry result;  ///< boolean for Sat/Stars*, interval for Find*
     bool settled = false;     ///< pinned: no future append can change result
     bool dirty = true;        ///< must re-settle before result is reusable
+    /// Index in the open-reader list, kNoOb if absent (maintained by the
+    /// graph; placed here to fill padding after the two flags).
+    ObId reader_pos = kNoOb;
     std::uint64_t epoch = 0;  ///< epoch the result was (re)computed at
     /// Trace horizon (last visible index) the result was computed at.  An
     /// open result is only reusable at the *same* horizon: a batched epoch
@@ -351,7 +276,6 @@ class ObligationGraph {
     // Lifecycle (maintained by the graph, read-only to the evaluator):
     bool freed = false;    ///< slot is on the free list awaiting reuse
     bool is_root = false;  ///< queried directly by a verdict: a GC root
-    bool in_tree = false;  ///< registered in the interval index
     std::uint32_t gc_mark = 0;  ///< stamp of the last marking sweep that reached it
     /// Start positions in [lo, frontier) whose body verdict was still OPEN
     /// at the last recomputation — whatever its current sign.  For [] these
@@ -370,12 +294,12 @@ class ObligationGraph {
   /// Current epoch (== number of begin_epoch() calls).
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Starts a new epoch at the given trace horizon (last visible index):
-  /// bumps the clock, recycles slots freed since the previous epoch, and
-  /// runs the invalidation pass — an IntervalIndex stab at `horizon`
-  /// seeding the reverse-dependency dirty closure.  Call once per appended
-  /// block, before re-reading root verdicts.
-  void begin_epoch(std::uint64_t horizon);
+  /// Starts a new epoch after the trace grew: bumps the clock, recycles
+  /// slots freed since the previous epoch, and runs the invalidation pass —
+  /// every open reader of the horizon seeds the reverse-dependency dirty
+  /// closure.  Call once per appended block, before re-reading root
+  /// verdicts.
+  void begin_epoch();
 
   /// The obligation for `key`, created open+dirty on first sight (freed
   /// slots recycled first).
@@ -387,14 +311,13 @@ class ObligationGraph {
   /// (idempotent per edge).
   void add_dep(ObId parent, ObId child);
 
-  /// Records "recomputing `attach` read the stuttering horizon": registers
-  /// the sensitivity window [attach.key.lo, inf) in the interval index
-  /// (once — the window already contains every later horizon).  No-op on
-  /// kNoOb.
+  /// Records "recomputing `attach` read the stuttering horizon": appends it
+  /// to the open-reader list (once — its window [attach.key.lo, inf)
+  /// already contains every later horizon).  No-op on kNoOb.
   void touch_horizon(ObId attach);
 
-  /// Tells the graph `id` just settled: its interval-index registration is
-  /// dropped — a settled record can never be touched by an epoch again —
+  /// Tells the graph `id` just settled: it leaves the open-reader list — a
+  /// settled record can never be touched by an epoch again —
   /// and its open-position list is freed, since only a recomputation reads
   /// it and settlement is permanent.
   void on_settle(ObId id);
@@ -436,7 +359,7 @@ class ObligationGraph {
   /// (dependency edges are traversed through open records only — a settled
   /// record never re-reads its children, so its subtree stays only if some
   /// open parent still reads its crown) and frees every unmarked record:
-  /// index and interval-tree entries dropped, edges purged from both
+  /// index and reader-list entries dropped, edges purged from both
   /// directions, resume state returned, slot queued for reuse at the next
   /// epoch boundary.  Verdicts are unaffected: a freed record that is ever
   /// queried again is simply recomputed from scratch.  Returns the records
@@ -449,7 +372,7 @@ class ObligationGraph {
 
   /// Estimated bytes resident in the store (gauge): the obligation and
   /// reverse-index vectors at capacity, per-obligation resume state
-  /// (open-position and dependency lists), the interval-index node pool,
+  /// (open-position and dependency lists), the open-reader list,
   /// the GC bookkeeping (root/free lists, walk scratch), and the index/edge
   /// hash tables at their per-entry footprint.  O(n); meant for budget
   /// checks at epoch boundaries, not per-query accounting.
@@ -470,10 +393,12 @@ class ObligationGraph {
   /// capacity and were evaluated without an obligation record.
   std::size_t env_overflows() const { return env_overflows_; }
 
-  // Interval-index accounting.
-  std::size_t index_nodes() const { return tree_.size(); }  ///< gauge
-  std::size_t index_stabs() const { return stabs_; }        ///< epochs stabbed, lifetime
-  std::size_t index_visited() const { return stab_visited_; }  ///< tree nodes visited
+  // Reader-list accounting.
+  std::size_t index_nodes() const { return readers_.size(); }  ///< readers registered (gauge)
+  std::size_t index_stabs() const { return epoch_; }           ///< list walks, lifetime
+  /// Readers visited by the walks: with a flat list every visited reader is
+  /// a touched one, so this equals touched_total().
+  std::size_t index_visited() const { return touched_total_; }
   std::size_t touched_total() const { return touched_total_; }  ///< seeds, lifetime
   std::size_t last_touched() const { return last_touched_; }  ///< by last begin_epoch()
 
@@ -508,8 +433,8 @@ class ObligationGraph {
     fn("fresh_hits", static_cast<std::uint64_t>(fresh_hits_));
     fn("env_overflows", static_cast<std::uint64_t>(env_overflows_));
     fn("index_nodes", static_cast<std::uint64_t>(index_nodes()));
-    fn("index_stabs", static_cast<std::uint64_t>(stabs_));
-    fn("index_visited", static_cast<std::uint64_t>(stab_visited_));
+    fn("index_stabs", static_cast<std::uint64_t>(index_stabs()));
+    fn("index_visited", static_cast<std::uint64_t>(index_visited()));
     fn("index_touched", static_cast<std::uint64_t>(touched_total_));
     fn("gc_sweeps", static_cast<std::uint64_t>(gc_sweeps_));
     fn("gc_marked", static_cast<std::uint64_t>(gc_marked_));
@@ -529,22 +454,22 @@ class ObligationGraph {
   }
   void erase_from(std::vector<ObId>& v, ObId id);  ///< unordered erase-if-found
   /// Frees `id`: unlinks every edge in both directions, drops the index and
-  /// interval-tree entries, returns the resume state, and queues the slot
+  /// reader-list entries, returns the resume state, and queues the slot
   /// for reuse at the next epoch.  Cascades into children left with no
   /// parents and no root mark.
   void free_record(ObId id);
   void maybe_cascade_free(ObId id);
   void seed_and_close(std::vector<ObId>& stack);  ///< dirty closure over reverse_
+  void remove_reader(Obligation& ob);  ///< swap-remove from readers_, if listed
 
   std::vector<Obligation> obligations_;
   std::unordered_map<Key, ObId, KeyHash> index_;
   std::vector<std::vector<ObId>> reverse_;  ///< child -> parents
   std::unordered_set<std::uint64_t> edge_set_;  ///< packed parent<<32|child
-  IntervalIndex tree_;             ///< open horizon-readers by sensitivity window
+  std::vector<ObId> readers_;      ///< open horizon-readers, unordered
   std::vector<ObId> roots_;        ///< GC roots (is_root set)
   std::vector<ObId> free_list_;    ///< freed slots, reusable now
   std::vector<ObId> free_pending_; ///< freed this epoch, reusable next epoch
-  std::vector<ObId> stab_out_;     ///< scratch: last stab's seed set
   std::vector<ObId> walk_stack_;   ///< scratch: dirty-closure stack
   std::vector<ObId> prune_scratch_;  ///< scratch: begin_recompute's pruned set
   std::size_t freed_count_ = 0;    ///< free_list_ + free_pending_
@@ -558,8 +483,6 @@ class ObligationGraph {
   std::size_t settled_hits_ = 0;
   std::size_t fresh_hits_ = 0;
   std::size_t env_overflows_ = 0;
-  std::size_t stabs_ = 0;
-  std::size_t stab_visited_ = 0;
   std::size_t touched_total_ = 0;
   std::size_t last_touched_ = 0;
   std::size_t gc_sweeps_ = 0;

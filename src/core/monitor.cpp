@@ -52,7 +52,7 @@ void Monitor::sync_epoch() const {
     graph_.maybe_gc();
     // One epoch per verdict refresh (several appends between verdicts fold
     // into one invalidation pass; the scan frontiers cover the gap).
-    graph_.begin_epoch(trace_.last_index());
+    graph_.begin_epoch();
     seen_appends_ = trace_.appends();
   }
 }

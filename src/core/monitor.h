@@ -92,7 +92,7 @@ class Monitor {
 
   /// Bytes resident in this monitor's evaluation stores: the memo cache's
   /// slot table plus the obligation graph's estimate — obligation and
-  /// reverse-index vectors, per-kind resume state, interval-tree node pool,
+  /// reverse-index vectors, per-kind resume state, the open-reader list,
   /// GC bookkeeping, and hash-table entries (gauge).
   std::size_t footprint_bytes() const { return cache_.bytes() + graph_.bytes(); }
 

@@ -120,7 +120,6 @@ void DecisionCache::store(const Key& key, const DecisionResult& result) {
 void DecisionCache::clear() { map_.clear(); }
 
 BatchDecider::BatchDecider(Options options) : options_(options) {
-  cache_.set_capacity(options_.decision_cache_capacity);
   // One resident pool serves both fan-out axes: the outer claim loop over
   // distinct jobs and the nested intra-decision frontiers.  Size it for
   // whichever axis wants more workers; a fully sequential configuration
@@ -156,33 +155,24 @@ std::vector<DecisionResult> BatchDecider::run(const std::vector<DecisionJob>& jo
   // formulas; hash-consed ids make the duplicate check one map probe).
   // `slot[i]` is the index into the distinct-work list, or kResolved.
   constexpr std::size_t kResolved = ~std::size_t{0};
-  const bool use_cache = options_.decision_cache;
   std::vector<std::size_t> slot(jobs.size(), kResolved);
   std::vector<std::size_t> distinct;  // job index of each distinct-work slot
   std::vector<DecisionCache::Key> distinct_keys;
-  if (use_cache) {
-    std::unordered_map<DecisionCache::Key, std::size_t, DecisionCache::KeyHash> first_seen;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const DecisionCache::Key key = DecisionCache::key_for(jobs[i]);
-      if (const DecisionResult* cached = cache_.lookup(key)) {
-        results[i] = *cached;
-        ++stats_.decision_hits;
-        continue;
-      }
-      ++stats_.decision_misses;
-      const auto [it, inserted] = first_seen.try_emplace(key, distinct.size());
-      if (inserted) {
-        distinct.push_back(i);
-        distinct_keys.push_back(key);
-      }
-      slot[i] = it->second;
+  std::unordered_map<DecisionCache::Key, std::size_t, DecisionCache::KeyHash> first_seen;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const DecisionCache::Key key = DecisionCache::key_for(jobs[i]);
+    if (const DecisionResult* cached = cache_.lookup(key)) {
+      results[i] = *cached;
+      ++stats_.decision_hits;
+      continue;
     }
-  } else {
-    distinct.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      slot[i] = distinct.size();
+    ++stats_.decision_misses;
+    const auto [it, inserted] = first_seen.try_emplace(key, distinct.size());
+    if (inserted) {
       distinct.push_back(i);
+      distinct_keys.push_back(key);
     }
+    slot[i] = it->second;
   }
   stats_.unique_jobs = distinct.size();
 
@@ -224,11 +214,9 @@ std::vector<DecisionResult> BatchDecider::run(const std::vector<DecisionJob>& jo
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (slot[i] != kResolved) results[i] = decided[slot[i]];
   }
-  if (use_cache) {
-    for (std::size_t d = 0; d < distinct.size(); ++d) cache_.store(distinct_keys[d], decided[d]);
-    stats_.decision_inserts = cache_.inserts() - inserts_before;
-    stats_.decision_entries = cache_.size();
-  }
+  for (std::size_t d = 0; d < distinct.size(); ++d) cache_.store(distinct_keys[d], decided[d]);
+  stats_.decision_inserts = cache_.inserts() - inserts_before;
+  stats_.decision_entries = cache_.size();
 
   for (const DecisionResult& r : results) {
     stats_.graph_nodes += r.graph_nodes;

@@ -75,8 +75,7 @@ struct DecisionResult {
 };
 
 /// Work-unit counters for the intra-decision fan-out, summed over a run's
-/// jobs.  Shared by BatchDecider (inside DecisionStats) and MonitorService
-/// (per shard, rendered by dump()).
+/// jobs (BatchDecider reports them inside DecisionStats).
 struct IntraDecisionStats {
   std::size_t threads = 0;        ///< width lent to each decision (1 = off)
   std::size_t waves = 0;
@@ -171,19 +170,6 @@ class DecisionCache {
   std::size_t inserts() const { return inserts_; }
   std::size_t size() const { return map_.size(); }
 
-  /// Counter-export hook for the introspection surface (engine/introspect.h):
-  /// calls fn(name, value) for every counter, gauges last.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    fn("hits", static_cast<std::uint64_t>(hits_));
-    fn("misses", static_cast<std::uint64_t>(misses_));
-    fn("inserts", static_cast<std::uint64_t>(inserts_));
-    fn("entries", static_cast<std::uint64_t>(map_.size()));
-  }
-
-  /// Soft cap on stored entries; 0 means unlimited.
-  void set_capacity(std::size_t cap) { capacity_ = cap; }
-
  private:
   std::unordered_map<Key, DecisionResult, KeyHash> map_;
   std::size_t capacity_ = 1u << 20;
@@ -205,13 +191,12 @@ class BatchDecider {
 
   /// Decides every job; results[i] corresponds to jobs[i].  Deterministic:
   /// independent of thread count, scheduling, and cache temperature.
-  /// When options().decision_cache is set (the default), the calling thread
-  /// first resolves every job against the cross-batch DecisionCache and
-  /// collapses within-batch duplicates, then fans out only the distinct
-  /// unresolved jobs; their results are stored back, so an identical batch
-  /// re-run is pure cache hits.  Exceptions thrown by a job (e.g. the LLL
-  /// graph budget guard) are captured and rethrown on the calling thread
-  /// for the lowest-indexed failing job.
+  /// The calling thread first resolves every job against the cross-batch
+  /// DecisionCache and collapses within-batch duplicates, then fans out only
+  /// the distinct unresolved jobs; their results are stored back, so an
+  /// identical batch re-run is pure cache hits.  Exceptions thrown by a job
+  /// (e.g. the LLL graph budget guard) are captured and rethrown on the
+  /// calling thread for the lowest-indexed failing job.
   std::vector<DecisionResult> run(const std::vector<DecisionJob>& jobs);
 
   const Options& options() const { return options_; }

@@ -45,17 +45,10 @@ std::vector<CheckResult> BatchChecker::run(const std::vector<CheckJob>& jobs) {
 
   const std::size_t workers = detail::effective_pool(jobs.size(), options_.num_threads);
 
-  const auto make_cache = [this]() {
-    EvalCache cache;
-    cache.set_capacity(options_.memo_capacity);
-    return cache;
-  };
-
   if (pool_ == nullptr || workers <= 1) {
     // Inline fast path: no wake for the sequential-equivalent case.
-    EvalCache cache = make_cache();
-    EvalCache* cache_ptr = options_.memoize ? &cache : nullptr;
-    for (std::size_t i = 0; i < jobs.size(); ++i) results[i] = run_job(jobs[i], cache_ptr);
+    EvalCache cache;
+    for (std::size_t i = 0; i < jobs.size(); ++i) results[i] = run_job(jobs[i], &cache);
     check_stats_.memo_hits = cache.hits();
     check_stats_.memo_misses = cache.misses();
     check_stats_.memo_inserts = cache.inserts();
@@ -73,13 +66,12 @@ std::vector<CheckResult> BatchChecker::run(const std::vector<CheckJob>& jobs) {
     std::atomic<std::size_t> next{0};
     pool_->run(workers, [&](std::size_t w) {
       Slot& slot = slots[w];
-      EvalCache cache = make_cache();
-      EvalCache* cache_ptr = options_.memoize ? &cache : nullptr;
+      EvalCache cache;
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= jobs.size()) break;
         try {
-          results[i] = run_job(jobs[i], cache_ptr);
+          results[i] = run_job(jobs[i], &cache);
         } catch (...) {
           // Indices claimed by one slot increase, so the first capture is
           // this slot's lowest.

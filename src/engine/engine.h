@@ -45,7 +45,10 @@ struct CheckJob {
 /// The engine's one options struct, shared by every front-end: the offline
 /// batch families (BatchChecker, BatchDecider) and the resident
 /// MonitorService.  Each front-end reads the knobs that concern it and
-/// documents any family-specific meaning.
+/// documents any family-specific meaning.  The caches themselves have no
+/// knobs: every BatchChecker worker memoizes subformulas in a private
+/// EvalCache (core/memo.h), and every BatchDecider consults its cross-batch
+/// DecisionCache (engine/decision.h).
 struct Options {
   /// Worker threads of the front-end's resident pool; 0 means
   /// std::thread::hardware_concurrency().  A batch never fans out wider than
@@ -53,30 +56,13 @@ struct Options {
   /// calling thread.
   std::size_t num_threads = 0;
 
-  /// Per-worker subformula memoization (see core/memo.h).  Disabling it is
-  /// only useful for measuring the cache's own benefit.
-  bool memoize = true;
-
-  /// Soft cap on entries per worker cache; 0 = unlimited.
-  std::size_t memo_capacity = 1u << 22;
-
-  /// Cross-batch decision-result cache on BatchDecider (engine/decision.h)
-  /// and MonitorService::decide(): (job kind, formula/expression id) → full
-  /// DecisionResult, consulted on the calling thread before any work fans
-  /// out, so repeated formulas — within one batch or across a regression
-  /// corpus of batches — are decided once.  Irrelevant to BatchChecker.
-  bool decision_cache = true;
-
-  /// Soft cap on decision-cache entries; 0 = unlimited.
-  std::size_t decision_cache_capacity = 1u << 20;
-
-  /// BatchDecider and MonitorService::decide() only: worker width lent to a
-  /// *single* decision's internal frontiers — tableau expansion waves, the
-  /// per-eventuality deletion sweeps, and the LLL subset-construction waves
-  /// — via nested runs on the family's resident pool.  0 or 1 runs each
-  /// decision inline.  Verdicts, graphs, and node ids are bit-identical at
-  /// any width: the parallel phases compute pure per-item values and all
-  /// interning happens on a sequential merge in fixed input order.
+  /// BatchDecider only: worker width lent to a *single* decision's internal
+  /// frontiers — tableau expansion waves, the per-eventuality deletion
+  /// sweeps, and the LLL subset-construction waves — via nested runs on the
+  /// decider's resident pool.  0 or 1 runs each decision inline.  Verdicts,
+  /// graphs, and node ids are bit-identical at any width: the parallel
+  /// phases compute pure per-item values and all interning happens on a
+  /// sequential merge in fixed input order.
   std::size_t intra_decision_threads = 1;
 
   /// MonitorService only: bounded ingest-queue depth.  append() blocks (and
@@ -165,10 +151,12 @@ struct StreamStats {
   std::size_t obligation_bytes = 0;    ///< resident graph bytes, summed (gauge)
   std::size_t obligation_dirtied = 0;  ///< invalidation-pass marks, lifetime
   std::size_t obligation_recomputed = 0;  ///< re-settlements, lifetime
-  std::size_t obligation_index_nodes = 0;    ///< interval-tree nodes resident (gauge)
-  std::size_t obligation_index_stabs = 0;    ///< stabbing queries run, lifetime
-  std::size_t obligation_index_visited = 0;  ///< tree nodes visited by stabs, lifetime
-  std::size_t obligation_index_touched = 0;  ///< obligations seeded by stabs, lifetime
+  std::size_t obligation_index_nodes = 0;    ///< open readers registered (gauge)
+  std::size_t obligation_index_stabs = 0;    ///< reader-list walks (epochs), lifetime
+  /// Readers visited by the walks, lifetime.  The list is flat, so every
+  /// visited reader is a touched one: this equals obligation_index_touched.
+  std::size_t obligation_index_visited = 0;
+  std::size_t obligation_index_touched = 0;  ///< obligations seeded by the walks, lifetime
   std::size_t gc_sweeps = 0;       ///< mark-and-sweep passes, lifetime
   std::size_t gc_marked = 0;       ///< records marked reachable, lifetime
   std::size_t gc_freed = 0;        ///< records freed (sweeps + orphan cascades)

@@ -20,10 +20,6 @@ void dump_counters(KvWriter kv, const ObligationGraph& graph) {
   graph.for_each_counter([&](const char* name, std::uint64_t v) { kv.emit(name, v); });
 }
 
-void dump_counters(KvWriter kv, const DecisionCache& cache) {
-  cache.for_each_counter([&](const char* name, std::uint64_t v) { kv.emit(name, v); });
-}
-
 void dump_counters(KvWriter kv, const IntraDecisionStats& stats) {
   stats.for_each_counter([&](const char* name, std::uint64_t v) { kv.emit(name, v); });
 }

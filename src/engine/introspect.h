@@ -7,9 +7,10 @@
 // golden dump.
 //
 // The sources are the counter-export hooks on the stores themselves
-// (EvalCache / ObligationGraph in core/memo.h, DecisionCache in
+// (EvalCache / ObligationGraph in core/memo.h, IntraDecisionStats in
 // engine/decision.h) plus the per-family stats structs (engine.h,
-// decision.h); MonitorService::dump() composes these per shard.
+// decision.h); MonitorService::dump() composes the stream families per
+// shard.  Decision counters render from a BatchDecider's DecisionStats.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,6 @@ class KvWriter {
 /// Renders a store's counter-export hook under the writer's prefix.
 void dump_counters(KvWriter kv, const EvalCache& cache);
 void dump_counters(KvWriter kv, const ObligationGraph& graph);
-void dump_counters(KvWriter kv, const DecisionCache& cache);
 void dump_counters(KvWriter kv, const IntraDecisionStats& stats);
 
 /// Renders a per-family stats struct (fixed key order, one key per field).

@@ -62,10 +62,9 @@ inline std::size_t effective_pool(std::size_t jobs, std::size_t requested) {
 /// pool degrades to the plain sequential loop instead of blocking.
 /// run_nested() is the same operation minus the top-level serialization;
 /// it is safe to call from inside a body and fans across parked workers
-/// only.  Top-level run() callers queue on an internal mutex, which lets
-/// one pool serve several front-ends (e.g. a service's stream epochs and
-/// its decision batches) without interleaving their fan-outs; nested runs
-/// stack freely under whichever top-level run is active.
+/// only.  Top-level run() callers queue on an internal mutex, so threads
+/// that share one pool never interleave their top-level fan-outs; nested
+/// runs stack freely under whichever top-level run is active.
 class ParkedPool {
  public:
   explicit ParkedPool(std::size_t threads) : threads_(threads == 0 ? 1 : threads) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/introspect.h"
@@ -32,8 +31,8 @@ struct MonitorService::Command {
 };
 
 /// Monitors live in the shard owning their id (id % shards).  The shard
-/// mutex covers the slot vector, the counters, and the decision cache, so a
-/// dump_shard() between epochs reads one consistent snapshot.
+/// mutex covers the slot vector and the counters, so a dump_shard() between
+/// epochs reads one consistent snapshot.
 ///
 /// Slots are id-ascending by construction: ids are minted monotonically and
 /// Register commands apply in queue (= mint) order.  retire() tombstones
@@ -87,10 +86,6 @@ struct MonitorService::Shard {
   std::size_t retired_memo_inserts = 0;
   std::size_t retired_obligation_dirtied = 0;
   std::size_t retired_obligation_recomputed = 0;
-
-  DecisionCache decisions;  ///< cross-batch cache for decide()
-  std::size_t decision_jobs = 0;
-  IntraDecisionStats intra;  ///< intra-decision work decided on this shard
 };
 
 MonitorService::MonitorService(Options options) : options_(options) {
@@ -104,18 +99,8 @@ MonitorService::MonitorService(Options options) : options_(options) {
   if (shards == 0) shards = threads;
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-  std::size_t intra = options_.intra_decision_threads;
-  if (intra == 0) intra = 1;
-  for (const auto& sh : shards_) {
-    sh->decisions.set_capacity(options_.decision_cache_capacity);
-    sh->intra.threads = intra;
-  }
   streams_.push_back(StreamInfo{"default", 0});
-  // Sharding follows num_threads; the pool additionally covers the
-  // intra-decision width so nested decision frontiers have workers to fan
-  // across even in a single-shard deployment.
-  const std::size_t workers = threads > intra ? threads : intra;
-  if (workers > 1) pool_ = std::make_unique<detail::ParkedPool>(workers);
+  if (threads > 1) pool_ = std::make_unique<detail::ParkedPool>(threads);
   coordinator_ = std::thread([this]() { coordinator_loop(); });
 }
 
@@ -722,105 +707,6 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
 }
 
 // ---------------------------------------------------------------------------
-// Decision batches through the resident pool.
-// ---------------------------------------------------------------------------
-
-std::vector<DecisionResult> MonitorService::decide(const std::vector<DecisionJob>& jobs) {
-  std::vector<DecisionResult> results(jobs.size());
-  if (jobs.empty()) return results;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    decision_jobs_ += jobs.size();
-  }
-
-  // Resolve phase on the calling thread: jobs shard by content key, each
-  // shard's cross-batch DecisionCache answers repeats, and within-batch
-  // duplicates collapse to one decision — BatchDecider's contract, with the
-  // cache sharded so hit rates show up per shard in dump().
-  constexpr std::size_t kResolved = ~std::size_t{0};
-  const bool use_cache = options_.decision_cache;
-  DecisionCache::KeyHash hasher;
-  std::vector<std::size_t> slot(jobs.size(), kResolved);
-  std::vector<std::size_t> distinct;
-  std::vector<DecisionCache::Key> distinct_keys;
-  std::vector<std::size_t> distinct_shard;
-  if (use_cache) {
-    std::unordered_map<DecisionCache::Key, std::size_t, DecisionCache::KeyHash> first_seen;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const DecisionCache::Key key = DecisionCache::key_for(jobs[i]);
-      const std::size_t shard = hasher(key) % shards_.size();
-      Shard& sh = *shards_[shard];
-      bool hit = false;
-      {
-        std::lock_guard<std::mutex> lock(sh.mu);
-        ++sh.decision_jobs;
-        if (const DecisionResult* cached = sh.decisions.lookup(key)) {
-          results[i] = *cached;
-          hit = true;
-        }
-      }
-      if (hit) continue;
-      const auto [it, inserted] = first_seen.try_emplace(key, distinct.size());
-      if (inserted) {
-        distinct.push_back(i);
-        distinct_keys.push_back(key);
-        distinct_shard.push_back(shard);
-      }
-      slot[i] = it->second;
-    }
-  } else {
-    distinct.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      slot[i] = distinct.size();
-      distinct.push_back(i);
-    }
-    std::lock_guard<std::mutex> lock(shards_[0]->mu);
-    shards_[0]->decision_jobs += jobs.size();
-  }
-
-  // Intra-decision handle: nested runs on the same resident pool, so a
-  // decision's internal frontiers fan across parked workers even while the
-  // outer claim loop is active (contexts stack; see engine/pool.h).
-  util::ParallelFor intra;
-  const util::ParallelFor* intra_par = nullptr;
-  const std::size_t intra_width =
-      options_.intra_decision_threads == 0 ? 1 : options_.intra_decision_threads;
-  if (pool_ != nullptr && intra_width > 1) {
-    intra.width = intra_width;
-    intra.run = [p = pool_.get()](std::size_t count,
-                                  const std::function<void(std::size_t)>& item) {
-      p->run_nested(count, item);
-    };
-    intra_par = &intra;
-  }
-
-  std::vector<DecisionResult> decided(distinct.size());
-  if (!distinct.empty()) {
-    if (pool_ != nullptr && distinct.size() > 1) {
-      pool_->run(distinct.size(), [&](std::size_t d) {
-        decided[d] = run_decision_job(jobs[distinct[d]], intra_par);
-      });
-    } else {
-      for (std::size_t d = 0; d < distinct.size(); ++d) {
-        decided[d] = run_decision_job(jobs[distinct[d]], intra_par);
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (slot[i] != kResolved) results[i] = decided[slot[i]];
-  }
-  for (std::size_t d = 0; d < distinct.size(); ++d) {
-    const std::size_t shard = use_cache ? distinct_shard[d] : 0;
-    Shard& sh = *shards_[shard];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.intra.add(decided[d]);
-    if (use_cache) sh.decisions.store(distinct_keys[d], decided[d]);
-  }
-  return results;
-}
-
-// ---------------------------------------------------------------------------
 // Introspection.
 // ---------------------------------------------------------------------------
 
@@ -855,7 +741,7 @@ StreamStats MonitorService::shard_stats_locked(const Shard& sh) const {
     out.obligation_recomputed += g.recomputes();
     out.obligation_index_nodes += g.index_nodes();
     out.obligation_index_stabs += g.index_stabs();
-    out.obligation_index_visited += g.index_visited();
+    out.obligation_index_visited += g.touched_total();
     out.obligation_index_touched += g.touched_total();
     out.gc_sweeps += g.gc_sweeps();
     out.gc_marked += g.gc_marked();
@@ -896,7 +782,6 @@ ServiceStats MonitorService::stats() const {
     out.reinstates = reinstates_;
     out.reinstate_misses = reinstate_misses_;
     out.reinstate_refused = reinstate_refused_;
-    out.decision_jobs = decision_jobs_;
   }
   {
     std::lock_guard<std::mutex> lock(out_mu_);
@@ -971,7 +856,6 @@ void MonitorService::dump(std::ostream& os) const {
   service.emit("reinstate_refused", s.reinstate_refused);
   service.emit("budget_gcs", s.budget_gcs);
   service.emit("budget_quarantines", s.budget_quarantines);
-  service.emit("decision_jobs", s.decision_jobs);
   for (std::size_t i = 0; i < shards_.size(); ++i) dump_shard(i, os);
 }
 
@@ -989,10 +873,6 @@ void MonitorService::dump_shard(std::size_t shard, std::ostream& os) const {
   kv.emit("quarantines", sh.quarantines);
   kv.emit("budget_gcs", sh.budget_gcs);
   kv.emit("budget_quarantines", sh.budget_quarantines);
-  KvWriter dec = kv.scoped("decision");
-  dump_counters(dec, sh.decisions);
-  dec.emit("jobs", sh.decision_jobs);
-  dump_counters(dec.scoped("intra"), sh.intra);
 }
 
 }  // namespace engine

@@ -52,18 +52,14 @@
 //   rank before the fan-out, so shard tasks write disjoint slots and no
 //   post-epoch sort is needed.
 //
-//   Decisions — decide() serves decision batches through the same resident
-//   pool with per-shard cross-batch DecisionCaches (jobs shard by content
-//   key), so a resident deployment keeps one warm process for both
-//   workload classes.
-//
 //   Introspection — dump() / dump_shard() render every counter family as
 //   stable `key value` text (engine/introspect.h): service-level gauges
 //   (including queue_peak, epoch_batches, states_per_batch_max), then per
 //   shard the engine, eval-cache (memo.*), obligation-graph, tombstone and
-//   budget, and decision-cache (decision.*) counters.  A shard dump is snapshot-
-//   consistent: all of its lines are read under the shard's mutex, between
-//   epochs touching that shard.
+//   budget counters.  A shard dump is snapshot-consistent: all of its lines
+//   are read under the shard's mutex, between epochs touching that shard.
+//   Decision batches are not the service's concern: they run through
+//   BatchDecider (engine/decision.h).
 //
 //   Fault isolation — a monitor whose evaluation throws is *quarantined*,
 //   not fatal: the throw is caught inside the shard task at the epoch
@@ -108,7 +104,6 @@
 
 #include "core/check.h"
 #include "core/monitor.h"
-#include "engine/decision.h"
 #include "engine/engine.h"
 #include "trace/trace.h"
 
@@ -227,7 +222,6 @@ struct ServiceStats {
   std::size_t reinstate_refused = 0;  ///< refused by backoff or retry budget
   std::size_t budget_gcs = 0;          ///< over budget: forced GC sweeps
   std::size_t budget_quarantines = 0;  ///< still over budget after the GC: quarantined
-  std::size_t decision_jobs = 0;  ///< lifetime, via decide()
   StreamStats totals;  ///< summed over shards
 };
 
@@ -305,15 +299,6 @@ class MonitorService {
   /// All completed verdict rows since the last drain, in ingest order.
   std::vector<VerdictRow> drain();
 
-  // -- decisions ----------------------------------------------------------
-
-  /// Decides a batch through the resident pool, consulting per-shard
-  /// cross-batch DecisionCaches (jobs shard by content key).  Results are
-  /// input-ordered and thread-count-invariant, like BatchDecider's.  Runs
-  /// on the calling thread plus the parked pool; independent of the ingest
-  /// queue.
-  std::vector<DecisionResult> decide(const std::vector<DecisionJob>& jobs);
-
   // -- observation --------------------------------------------------------
 
   std::size_t shards() const { return shards_.size(); }
@@ -382,7 +367,6 @@ class MonitorService {
   std::size_t reinstates_ = 0;
   std::size_t reinstate_misses_ = 0;
   std::size_t reinstate_refused_ = 0;
-  std::size_t decision_jobs_ = 0;
   bool stopping_ = false;
   bool paused_ = false;
   bool in_flight_ = false;  ///< coordinator is mid-block

@@ -301,20 +301,6 @@ TEST(DecisionCache, WithinBatchDuplicatesDecideOnce) {
   }
 }
 
-TEST(DecisionCache, KnobDisablesCachingEntirely) {
-  ltl::Arena arena;
-  const auto jobs = small_corpus(arena);
-  engine::Options options;
-  options.decision_cache = false;
-  engine::BatchDecider decider(options);
-  decider.run(jobs);
-  decider.run(jobs);
-  EXPECT_EQ(decider.stats().decision_hits, 0u);
-  EXPECT_EQ(decider.stats().decision_entries, 0u);
-  EXPECT_EQ(decider.stats().unique_jobs, jobs.size());
-  EXPECT_EQ(decider.cache().size(), 0u);
-}
-
 TEST(DecisionCache, TableauVerdictsSurviveArenaRebuild) {
   // Tableau keys carry the arena's content fingerprint, not its address: a
   // torn-down arena rebuilt by the same construction sequence re-uses the

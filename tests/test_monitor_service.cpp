@@ -4,8 +4,7 @@
 // drains; dump() emits the stable debugfs-style `key value` format (pinned
 // by a golden dump); and the five case-study monitors stream through the
 // service with verdicts bit-identical to the uncached evaluator at every
-// prefix, at 1/2/4 threads.  Decision batches through decide() must match decide_batch() and
-// populate the per-shard decision caches.
+// prefix, at 1/2/4 threads.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,8 +17,6 @@
 #include <vector>
 
 #include "il.h"
-#include "lll/encode.h"
-#include "ltl/formula.h"
 #include "oracle.h"
 #include "systems/ab_protocol.h"
 #include "systems/arbiter.h"
@@ -279,8 +276,7 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
       "service.reinstate_misses 0\n"
       "service.reinstate_refused 0\n"
       "service.budget_gcs 0\n"
-      "service.budget_quarantines 0\n"
-      "service.decision_jobs 0\n";
+      "service.budget_quarantines 0\n";
   for (const char* shard : {"shard0", "shard1"}) {
     const std::string p(shard);
     expected += p + ".engine.monitors 0\n";
@@ -315,17 +311,6 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
     expected += p + ".quarantines 0\n";
     expected += p + ".budget_gcs 0\n";
     expected += p + ".budget_quarantines 0\n";
-    expected += p + ".decision.hits 0\n";
-    expected += p + ".decision.misses 0\n";
-    expected += p + ".decision.inserts 0\n";
-    expected += p + ".decision.entries 0\n";
-    expected += p + ".decision.jobs 0\n";
-    expected += p + ".decision.intra.threads 1\n";
-    expected += p + ".decision.intra.waves 0\n";
-    expected += p + ".decision.intra.frontier_sets 0\n";
-    expected += p + ".decision.intra.sweep_tasks 0\n";
-    expected += p + ".decision.intra.prefix_hits 0\n";
-    expected += p + ".decision.intra.prefix_misses 0\n";
   }
   EXPECT_EQ(os.str(), expected);
 }
@@ -360,13 +345,12 @@ TEST(MonitorService, DumpAfterTrafficKeepsTheStableFormat) {
   }
   EXPECT_GT(lines, 0u);
 
-  // Every shard section carries the four counter families the operator
-  // watches: engine, eval cache (memo), decision cache, obligation graph.
+  // Every shard section carries the counter families the operator watches:
+  // engine, eval cache (memo), obligation graph, reader list, GC.
   for (const char* shard : {"shard0", "shard1"}) {
     for (const char* group : {".engine.monitors", ".memo.hits", ".memo.entries",
-                              ".decision.hits", ".decision.entries", ".obligation.entries",
-                              ".obligation.recomputed", ".obligation_index.stabs",
-                              ".gc.sweeps"}) {
+                              ".obligation.entries", ".obligation.recomputed",
+                              ".obligation_index.stabs", ".gc.sweeps"}) {
       EXPECT_TRUE(keys.count(std::string(shard) + group) == 1)
           << "missing " << shard << group;
     }
@@ -381,56 +365,6 @@ TEST(MonitorService, DumpAfterTrafficKeepsTheStableFormat) {
   const StreamStats sh0 = service.shard_stats(0);
   const StreamStats sh1 = service.shard_stats(1);
   EXPECT_EQ(sh0.monitors + sh1.monitors, stats.totals.monitors);
-}
-
-TEST(MonitorService, DecideMatchesBatchDeciderAndWarmsPerShardCaches) {
-  ltl::Arena arena;
-  std::vector<engine::DecisionJob> jobs;
-  for (const char* s : {"p", "[]p", "<>p", "[]p /\\ <>!p", "<>[]p", "[](p -> <>q)"}) {
-    const ltl::Id f = arena.parse(s);
-    jobs.push_back(tableau_sat_job(arena, f));
-    jobs.push_back(lll_sat_job(lll::encode_ltl(arena, arena.nnf(f))));
-  }
-  const std::vector<DecisionResult> reference = decide_batch(jobs);
-
-  for (const std::size_t threads : {1u, 4u}) {
-    Options opts;
-    opts.num_threads = threads;
-    MonitorService service(opts);
-    const std::vector<DecisionResult> cold = service.decide(jobs);
-    ASSERT_EQ(cold.size(), reference.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      EXPECT_EQ(cold[i].verdict, reference[i].verdict) << "threads " << threads << " job " << i;
-      EXPECT_EQ(cold[i].graph_nodes, reference[i].graph_nodes);
-      EXPECT_EQ(cold[i].graph_edges, reference[i].graph_edges);
-    }
-
-    // A repeat batch is answered from the per-shard caches.
-    const std::vector<DecisionResult> warm = service.decide(jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      EXPECT_EQ(warm[i].verdict, reference[i].verdict);
-    }
-    std::ostringstream os;
-    service.dump(os);
-    const std::string dump = os.str();
-    std::size_t hits = 0;
-    std::size_t entries = 0;
-    std::istringstream in(dump);
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t space = line.find(' ');
-      const std::string key = line.substr(0, space);
-      if (key.find(".decision.hits") != std::string::npos) {
-        hits += std::stoull(line.substr(space + 1));
-      }
-      if (key.find(".decision.entries") != std::string::npos) {
-        entries += std::stoull(line.substr(space + 1));
-      }
-    }
-    EXPECT_EQ(hits, jobs.size()) << "warm batch must be pure per-shard cache hits";
-    EXPECT_GT(entries, 0u);
-    EXPECT_EQ(service.stats().decision_jobs, 2 * jobs.size());
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tests for the interval-indexed obligation graph: the stabbing-query epoch
+// Tests for the obligation graph's open-reader list: the reader-list epoch
 // invalidation must be verdict-identical to the uncached evaluator at every
-// prefix; an epoch must touch a handful of records, not the graph;
+// prefix; the list must track exactly the open readers through settlement
+// and freeing; an epoch must touch a handful of records, not the graph;
 // relocating open event searches must unlink the obligation records they
 // supersede; a settled record must drop its resume state; mark-and-sweep GC
 // may fire at arbitrary points without changing a single verdict; and a
@@ -37,7 +38,7 @@ std::vector<std::int64_t> domain(std::size_t n) {
 }
 
 /// The case-study corpus from tests/test_monitor_incremental.cpp, reused
-/// here to exercise the index on realistic graphs.
+/// here to exercise the reader list on realistic graphs.
 struct StreamCases {
   std::deque<Spec> specs;  ///< deque: spec_of pointers survive growth
   std::vector<const Spec*> spec_of;
@@ -137,8 +138,8 @@ TEST(ObligationIndex, RelocatingEventFindKeepsEntriesFlat) {
   EXPECT_GT(m.obligations().gc_freed(), 0u);  // superseded records were freed
 }
 
-/// The stabbing-query invalidation must produce the reference verdict
-/// stream at every prefix, on every case-study spec plus the relocating one.
+/// The reader-list invalidation must produce the reference verdict stream
+/// at every prefix, on every case-study spec plus the relocating one.
 TEST(ObligationIndex, IndexedMatchesUncachedAtEveryPrefix) {
   StreamCases cases;
   {
@@ -164,8 +165,8 @@ TEST(ObligationIndex, IndexedMatchesUncachedAtEveryPrefix) {
   EXPECT_GT(failing_prefixes, 0u);  // the corpus must exercise failures
 }
 
-/// The whole point of the index: an epoch touches the overlapping open
-/// obligations, not the graph.  On a long steady-state stream (2048 states,
+/// The whole point of the reader list: an epoch touches the open readers of
+/// the horizon, not the graph.  On a long steady-state stream (2048 states,
 /// a !q pulse every 64, GC off) the per-epoch seed count and the resident
 /// record count must both stay at a handful, independent of the trace
 /// length.  The resident count spikes for one epoch at each pulse — the
@@ -188,13 +189,67 @@ TEST(ObligationIndex, EpochTouchesAHandfulOfRecords) {
   ASSERT_GT(g.index_stabs(), 0u);
   const std::size_t avg_touched = g.touched_total() / g.index_stabs();
   EXPECT_LE(avg_touched, 8u);  // measured 3
-  // Reclamation keeps the graph itself small: the stab could not be
+  // Reclamation keeps the graph itself small: the walk could not be
   // selective if every record it ever made stayed resident.
   EXPECT_LE(steady, 64u);          // measured 5
   EXPECT_LE(peak, kPulse + 8);     // measured 67, at every pulse
-  // The tree prunes: nodes visited per stab is O(log n + touched), far
-  // below one visit per resident obligation per epoch.
-  EXPECT_LT(g.index_visited(), g.index_stabs() * (avg_touched + 2) * 8);
+  // The list is flat: every reader an epoch visits is one it touches.
+  EXPECT_EQ(g.index_visited(), g.touched_total());
+}
+
+/// The reader list at the graph level: a record joins once when it reads
+/// the horizon, leaves when it settles or is freed (the swap-removal must
+/// fix up the moved record's position), and an epoch dirties exactly the
+/// records still on it.
+TEST(ObligationIndex, ReaderListTracksOpenReaders) {
+  ObligationGraph g;
+  ObligationGraph::ObId id[3];
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    ObligationGraph::Key key;
+    key.node = i + 1;
+    key.lo = i;
+    id[i] = g.obtain(key);
+    g.touch_horizon(id[i]);
+    EXPECT_EQ(g.index_nodes(), i + 1);
+  }
+  g.touch_horizon(id[0]);  // already registered: no second entry
+  EXPECT_EQ(g.index_nodes(), 3u);
+  const auto clean_all = [&]() {
+    for (const ObligationGraph::ObId r : id) g.at(r).dirty = false;
+  };
+
+  // Settling the middle reader removes it; the epoch dirties the other two.
+  g.at(id[1]).settled = true;
+  g.on_settle(id[1]);
+  EXPECT_EQ(g.index_nodes(), 2u);
+  clean_all();
+  g.begin_epoch();
+  EXPECT_TRUE(g.at(id[0]).dirty);
+  EXPECT_FALSE(g.at(id[1]).dirty);
+  EXPECT_TRUE(g.at(id[2]).dirty);
+  EXPECT_EQ(g.last_dirtied(), 2u);
+  EXPECT_EQ(g.last_touched(), 2u);
+
+  // Freeing the first reader moves the last one into its place.
+  g.mark_root(id[1]);
+  g.mark_root(id[2]);
+  EXPECT_EQ(g.gc_sweep(), 1u);
+  EXPECT_TRUE(g.at(id[0]).freed);
+  EXPECT_EQ(g.index_nodes(), 1u);
+  clean_all();
+  g.begin_epoch();
+  EXPECT_TRUE(g.at(id[2]).dirty);
+  EXPECT_EQ(g.last_dirtied(), 1u);
+
+  // The moved reader's position was fixed up: settling it empties the list.
+  g.at(id[2]).settled = true;
+  g.on_settle(id[2]);
+  EXPECT_EQ(g.index_nodes(), 0u);
+  g.begin_epoch();
+  EXPECT_EQ(g.last_dirtied(), 0u);
+  EXPECT_EQ(g.index_visited(), g.touched_total());
+  EXPECT_EQ(g.touched_total(), 3u);
+  EXPECT_EQ(g.index_stabs(), 3u);
 }
 
 /// A record that settles while its open-position list is non-empty (a []
@@ -218,16 +273,15 @@ TEST(ObligationIndex, SettlingFreesOpenPositions) {
   EXPECT_TRUE(g.at(id).settled);
 }
 
-/// Footprint honesty — the graph's byte gauge must cover the
-/// interval-tree node pool, and the monitor's footprint must cover both
-/// stores.
+/// Footprint honesty — the graph's byte gauge must cover the open-reader
+/// list, and the monitor's footprint must cover both stores.
 TEST(ObligationIndex, FootprintAccountsForIndexNodes) {
   StreamCases cases;
   Monitor m(*cases.spec_of[0]);
   for (const State& s : cases.traces[0].states()) m.append(s);
   const ObligationGraph& g = m.obligations();
   EXPECT_GT(g.index_nodes(), 0u);
-  EXPECT_GE(g.bytes(), g.index_nodes() * IntervalIndex::node_bytes());
+  EXPECT_GE(g.bytes(), g.index_nodes() * sizeof(ObligationGraph::ObId));
   EXPECT_GE(m.footprint_bytes(), g.bytes() + m.cache().bytes());
 }
 

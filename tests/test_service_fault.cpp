@@ -8,8 +8,7 @@
 // boom=1 arrives, and short-circuits safely on every other state.  On top
 // of that: the reinstate lifecycle (backoff gate, retry budget, rebuild
 // failure), the byte budget (forced GC, then quarantine if still over),
-// decide() errors not poisoning ingest, and —
-// under IL_FAULT_INJECTION — per-site differentials for the injected
+// and — under IL_FAULT_INJECTION — per-site differentials for the injected
 // harness plus a seeded soak (IL_FAULT_SOAK_SECONDS bounds it).
 #include <gtest/gtest.h>
 
@@ -415,26 +414,6 @@ TEST(ServiceFault, RegistrationAroundAQuarantineStaysSequenced) {
   EXPECT_NE(last.verdict_at(1), Verdict::Faulted);
   EXPECT_EQ(last.verdicts[2].id, late);
   EXPECT_NE(last.verdict_at(2), Verdict::Faulted);
-}
-
-TEST(ServiceFault, DecideErrorsDoNotPoisonIngest) {
-  Options opts;
-  opts.num_threads = 2;
-  opts.num_shards = 2;
-  MonitorService service(opts);
-  service.register_spec(sys::mutex_spec(3));
-
-  // A malformed decision job throws on the decide() caller — inside the
-  // pool run — and must leave the ingest side (and the pool) untouched.
-  std::vector<engine::DecisionJob> bad(2);
-  EXPECT_THROW(service.decide(bad), std::invalid_argument);
-
-  sys::MutexRunConfig mc;
-  const Trace run = sys::run_mutex(mc);
-  for (const State& s : run.states()) service.append(s);
-  service.flush();  // no deadlock, no poison
-  EXPECT_FALSE(service.poisoned());
-  EXPECT_EQ(service.drain().size(), run.size());
 }
 
 #ifdef IL_FAULT_INJECTION
