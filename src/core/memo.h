@@ -106,19 +106,6 @@ class EvalCache {
   /// kMaxEnv and the query bypasses the cache.
   void note_env_overflow() { ++env_overflows_; }
 
-  /// Counter-export hook for the introspection surface
-  /// (engine/introspect.h): calls fn(name, value) for every counter.
-  /// `entries` is a gauge (resident now); the rest are lifetime counters.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    fn("hits", static_cast<std::uint64_t>(hits_));
-    fn("misses", static_cast<std::uint64_t>(misses_));
-    fn("inserts", static_cast<std::uint64_t>(inserts_));
-    fn("entries", static_cast<std::uint64_t>(count_));
-    fn("env_overflows", static_cast<std::uint64_t>(env_overflows_));
-    fn("bytes", static_cast<std::uint64_t>(bytes()));
-  }
-
   /// Soft cap on stored entries; 0 means unlimited.
   void set_capacity(std::size_t cap) { capacity_ = cap; }
 
@@ -417,32 +404,6 @@ class ObligationGraph {
   void note_settled_hit() { ++settled_hits_; }
   void note_fresh_hit() { ++fresh_hits_; }
   void note_env_overflow() { ++env_overflows_; }
-
-  /// Counter-export hook for the introspection surface
-  /// (engine/introspect.h): calls fn(name, value) for every counter.
-  /// entries/settled/open/edges are gauges; the rest lifetime counters.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    fn("entries", static_cast<std::uint64_t>(size()));
-    fn("settled", static_cast<std::uint64_t>(settled_count()));
-    fn("open", static_cast<std::uint64_t>(open_count()));
-    fn("edges", static_cast<std::uint64_t>(edges()));
-    fn("dirtied", static_cast<std::uint64_t>(total_dirtied_));
-    fn("recomputed", static_cast<std::uint64_t>(recomputes_));
-    fn("settled_hits", static_cast<std::uint64_t>(settled_hits_));
-    fn("fresh_hits", static_cast<std::uint64_t>(fresh_hits_));
-    fn("env_overflows", static_cast<std::uint64_t>(env_overflows_));
-    fn("index_nodes", static_cast<std::uint64_t>(index_nodes()));
-    fn("index_stabs", static_cast<std::uint64_t>(index_stabs()));
-    fn("index_visited", static_cast<std::uint64_t>(index_visited()));
-    fn("index_touched", static_cast<std::uint64_t>(touched_total_));
-    fn("gc_sweeps", static_cast<std::uint64_t>(gc_sweeps_));
-    fn("gc_marked", static_cast<std::uint64_t>(gc_marked_));
-    fn("gc_freed", static_cast<std::uint64_t>(gc_freed_));
-    fn("gc_freed_bytes", static_cast<std::uint64_t>(gc_freed_bytes_));
-    fn("gc_orphans", static_cast<std::uint64_t>(orphan_unlinks_));
-    fn("bytes", static_cast<std::uint64_t>(bytes()));
-  }
 
  private:
   struct KeyHash {

@@ -34,41 +34,32 @@ DecisionJob lll_sat_job(lll::ExprId expr) {
   return job;
 }
 
-DecisionResult run_decision_job(const DecisionJob& job) { return run_decision_job(job, nullptr); }
-
-DecisionResult run_decision_job(const DecisionJob& job, const util::ParallelFor* par) {
+DecisionResult run_decision_job(const DecisionJob& job) {
   DecisionResult r;
   switch (job.kind) {
     case DecisionJob::Kind::TableauSat:
     case DecisionJob::Kind::TableauValid: {
       IL_REQUIRE(job.arena != nullptr && job.formula >= 0,
                  "tableau DecisionJob must bind an arena and a formula");
-      ltl::Tableau tableau(*job.arena, job.formula, par);
+      ltl::Tableau tableau(*job.arena, job.formula);
       r.graph_nodes = tableau.node_count();
       r.graph_edges = tableau.edge_count();
-      const bool sat = tableau.iterate(par);
+      const bool sat = tableau.iterate();
       r.alive_nodes = tableau.alive_node_count();
       r.alive_edges = tableau.alive_edge_count();
-      r.waves = tableau.wave_count();
-      r.frontier_sets = tableau.frontier_set_count();
-      r.sweep_tasks = tableau.sweep_task_count();
       // TableauValid jobs hold nnf(!A): A is valid iff no model survives.
       r.verdict = job.kind == DecisionJob::Kind::TableauValid ? !sat : sat;
       break;
     }
     case DecisionJob::Kind::LllSat: {
       IL_REQUIRE(job.expr != lll::kNoExpr, "LllSat DecisionJob must bind an expression");
-      const lll::DecisionStats stats = lll::decide(job.expr, par);
+      const lll::DecisionStats stats = lll::decide(job.expr);
       r.verdict = stats.satisfiable;
       r.graph_nodes = stats.nodes;
       r.graph_edges = stats.edges;
       r.alive_nodes = stats.alive_nodes;
       r.alive_edges = stats.alive_edges;
       r.iterations = stats.iterations;
-      r.waves = stats.build_waves;
-      r.frontier_sets = stats.build_frontier_sets;
-      r.prefix_hits = stats.prefix_hits;
-      r.prefix_misses = stats.prefix_misses;
       break;
     }
   }
@@ -120,16 +111,7 @@ void DecisionCache::store(const Key& key, const DecisionResult& result) {
 void DecisionCache::clear() { map_.clear(); }
 
 BatchDecider::BatchDecider(Options options) : options_(options) {
-  // One resident pool serves both fan-out axes: the outer claim loop over
-  // distinct jobs and the nested intra-decision frontiers.  Size it for
-  // whichever axis wants more workers; a fully sequential configuration
-  // (both knobs <= 1) spawns nothing.
-  std::size_t outer = options_.num_threads;
-  if (outer == 0) outer = std::thread::hardware_concurrency();
-  if (outer == 0) outer = 1;
-  std::size_t intra = options_.intra_decision_threads;
-  if (intra == 0) intra = 1;
-  const std::size_t workers = outer > intra ? outer : intra;
+  const std::size_t workers = detail::effective_pool(~std::size_t{0}, options_.num_threads);
   if (workers > 1) pool_ = std::make_unique<detail::ParkedPool>(workers);
 }
 
@@ -176,37 +158,16 @@ std::vector<DecisionResult> BatchDecider::run(const std::vector<DecisionJob>& jo
   }
   stats_.unique_jobs = distinct.size();
 
-  // The intra-decision handle: bound to nested runs on the resident pool,
-  // so a decision's tableau waves / subset-construction frontiers fan
-  // across whatever workers are parked — including under an active outer
-  // run (open contexts stack; see engine/pool.h).
-  util::ParallelFor intra;
-  const util::ParallelFor* intra_par = nullptr;
-  const std::size_t intra_width =
-      options_.intra_decision_threads == 0 ? 1 : options_.intra_decision_threads;
-  if (pool_ != nullptr && intra_width > 1) {
-    intra.width = intra_width;
-    intra.run = [p = pool_.get()](std::size_t count,
-                                  const std::function<void(std::size_t)>& item) {
-      p->run_nested(count, item);
-    };
-    intra_par = &intra;
-  }
-  stats_.intra.threads = intra_par != nullptr ? intra_width : 1;
-
   std::vector<DecisionResult> decided(distinct.size());
   if (!distinct.empty()) {
     const std::size_t outer = detail::effective_pool(distinct.size(), options_.num_threads);
-    if (pool_ == nullptr || outer <= 1 || distinct.size() == 1) {
-      // Sequential outer loop; the intra handle (if any) still fans each
-      // decision's internal frontiers across the parked workers.
+    if (pool_ == nullptr || outer <= 1) {
       for (std::size_t d = 0; d < distinct.size(); ++d) {
-        decided[d] = run_decision_job(jobs[distinct[d]], intra_par);
+        decided[d] = run_decision_job(jobs[distinct[d]]);
       }
     } else {
-      pool_->run(distinct.size(), [&](std::size_t d) {
-        decided[d] = run_decision_job(jobs[distinct[d]], intra_par);
-      });
+      pool_->run(distinct.size(),
+                 [&](std::size_t d) { decided[d] = run_decision_job(jobs[distinct[d]]); });
       stats_.threads = outer;
     }
   }
@@ -221,7 +182,6 @@ std::vector<DecisionResult> BatchDecider::run(const std::vector<DecisionJob>& jo
   for (const DecisionResult& r : results) {
     stats_.graph_nodes += r.graph_nodes;
     stats_.graph_edges += r.graph_edges;
-    stats_.intra.add(r);
   }
   return results;
 }

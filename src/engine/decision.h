@@ -7,7 +7,8 @@
 // validity lemmas, per-scenario satisfiability probes, tableau-vs-LLL
 // differential sweeps — so the batch engine serves them exactly like trace
 // checks: workers claim jobs from one atomic counter and results land in
-// input order, deterministically, independent of thread count.
+// input order, deterministically, independent of thread count.  Each
+// decision runs start to finish on the thread that claimed it.
 //
 // The unified intern layer is what makes the fan-out safe and cheap: a
 // DecisionJob references formulas by id into an `ltl::Arena` and/or the
@@ -26,7 +27,6 @@
 #include "engine/engine.h"
 #include "lll/ast.h"
 #include "ltl/formula.h"
-#include "util/parallel.h"
 
 namespace il::engine {
 
@@ -63,46 +63,6 @@ struct DecisionResult {
   std::size_t alive_nodes = 0;  ///< survivors of the deletion fixpoint
   std::size_t alive_edges = 0;
   std::size_t iterations = 0;   ///< LLL deletion passes (0 for tableau jobs)
-
-  // Intra-decision work units (deterministic, so cacheable with the rest):
-  // how many frontiers the decision processed and how many independent
-  // tasks each could fan across Options::intra_decision_threads workers.
-  std::size_t waves = 0;          ///< construction waves (tableau or subset)
-  std::size_t frontier_sets = 0;  ///< expansion tasks across those waves
-  std::size_t sweep_tasks = 0;    ///< tableau per-eventuality backward sweeps
-  std::size_t prefix_hits = 0;    ///< LLL prefix-product accumulator reuse
-  std::size_t prefix_misses = 0;  ///< … levels that had to be computed
-};
-
-/// Work-unit counters for the intra-decision fan-out, summed over a run's
-/// jobs (BatchDecider reports them inside DecisionStats).
-struct IntraDecisionStats {
-  std::size_t threads = 0;        ///< width lent to each decision (1 = off)
-  std::size_t waves = 0;
-  std::size_t frontier_sets = 0;
-  std::size_t sweep_tasks = 0;
-  std::size_t prefix_hits = 0;
-  std::size_t prefix_misses = 0;
-
-  void add(const DecisionResult& r) {
-    waves += r.waves;
-    frontier_sets += r.frontier_sets;
-    sweep_tasks += r.sweep_tasks;
-    prefix_hits += r.prefix_hits;
-    prefix_misses += r.prefix_misses;
-  }
-
-  /// Counter-export hook for the introspection surface (engine/introspect.h):
-  /// calls fn(name, value) for every counter.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    fn("threads", static_cast<std::uint64_t>(threads));
-    fn("waves", static_cast<std::uint64_t>(waves));
-    fn("frontier_sets", static_cast<std::uint64_t>(frontier_sets));
-    fn("sweep_tasks", static_cast<std::uint64_t>(sweep_tasks));
-    fn("prefix_hits", static_cast<std::uint64_t>(prefix_hits));
-    fn("prefix_misses", static_cast<std::uint64_t>(prefix_misses));
-  }
 };
 
 /// Aggregate counters from the last run().  The decision_* quad follows the
@@ -119,7 +79,6 @@ struct DecisionStats {
   std::size_t decision_misses = 0;
   std::size_t decision_inserts = 0;  ///< results stored this run
   std::size_t decision_entries = 0;  ///< entries resident after the run
-  IntraDecisionStats intra;          ///< summed over the run's results
 };
 
 /// Cross-batch memo of decision results, mirroring what EvalCache does for
@@ -180,9 +139,10 @@ class DecisionCache {
 
 class BatchDecider {
  public:
-  /// Spawns the resident worker pool (engine/pool.h) sized for both fan-out
-  /// axes: max(resolved num_threads, intra_decision_threads).  Workers park
-  /// between runs, so a decider serving many batches pays the spawn once.
+  /// Spawns the resident worker pool (engine/pool.h) with the resolved
+  /// num_threads workers (none when that is 1).  Workers park between runs,
+  /// so a decider serving many batches pays the spawn once.  Each decision
+  /// runs start to finish on the one thread that claimed it.
   explicit BatchDecider(Options options = {});
   ~BatchDecider();
 
@@ -215,11 +175,8 @@ class BatchDecider {
 };
 
 /// Decides one job — the unit of work a BatchDecider worker executes,
-/// exposed so sequential call-sites run exactly the same code.  The second
-/// overload lends `par` (util/parallel.h) to the decision's internal
-/// frontiers; null or width <= 1 runs them inline, bit-identically.
+/// exposed so sequential call-sites run exactly the same code.
 DecisionResult run_decision_job(const DecisionJob& job);
-DecisionResult run_decision_job(const DecisionJob& job, const util::ParallelFor* par);
 
 /// One-shot convenience over a temporary BatchDecider.
 std::vector<DecisionResult> decide_batch(const std::vector<DecisionJob>& jobs,

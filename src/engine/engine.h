@@ -53,17 +53,9 @@ struct Options {
   /// Worker threads of the front-end's resident pool; 0 means
   /// std::thread::hardware_concurrency().  A batch never fans out wider than
   /// its number of jobs, and batches of at most one job run inline on the
-  /// calling thread.
+  /// calling thread.  Parallelism is across jobs only: each check or
+  /// decision runs start to finish on one thread.
   std::size_t num_threads = 0;
-
-  /// BatchDecider only: worker width lent to a *single* decision's internal
-  /// frontiers — tableau expansion waves, the per-eventuality deletion
-  /// sweeps, and the LLL subset-construction waves — via nested runs on the
-  /// decider's resident pool.  0 or 1 runs each decision inline.  Verdicts,
-  /// graphs, and node ids are bit-identical at any width: the parallel
-  /// phases compute pure per-item values and all interning happens on a
-  /// sequential merge in fixed input order.
-  std::size_t intra_decision_threads = 1;
 
   /// MonitorService only: bounded ingest-queue depth.  append() blocks (and
   /// try_append() reports QueueFull) while this many commands are pending —

@@ -6,19 +6,14 @@
 // `^[a-z0-9_.]+ [0-9]+$`, and tests/test_monitor_service.cpp pins it with a
 // golden dump.
 //
-// The sources are the counter-export hooks on the stores themselves
-// (EvalCache / ObligationGraph in core/memo.h, IntraDecisionStats in
-// engine/decision.h) plus the per-family stats structs (engine.h,
-// decision.h); MonitorService::dump() composes the stream families per
-// shard.  Decision counters render from a BatchDecider's DecisionStats.
+// The source is the per-shard StreamStats snapshot (engine.h), which
+// MonitorService::dump() renders once per shard under `shardN.`.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
 
-#include "core/memo.h"
-#include "engine/decision.h"
 #include "engine/engine.h"
 
 namespace il::engine {
@@ -39,14 +34,7 @@ class KvWriter {
   std::string prefix_;
 };
 
-/// Renders a store's counter-export hook under the writer's prefix.
-void dump_counters(KvWriter kv, const EvalCache& cache);
-void dump_counters(KvWriter kv, const ObligationGraph& graph);
-void dump_counters(KvWriter kv, const IntraDecisionStats& stats);
-
-/// Renders a per-family stats struct (fixed key order, one key per field).
-void dump_counters(KvWriter kv, const CheckStats& stats);
-void dump_counters(KvWriter kv, const DecisionStats& stats);
+/// Renders a shard's stream counters (fixed key order, one key per field).
 void dump_counters(KvWriter kv, const StreamStats& stats);
 
 }  // namespace il::engine

@@ -8,26 +8,17 @@
 // exhausted), which costs microseconds where a thread spawn costs tens —
 // the difference that makes fine-grained streaming pay off.  Every engine
 // front-end fans out through it: BatchChecker (engine.h), BatchDecider
-// (decision.h), and the resident MonitorService (service.h).
-//
-// Runs nest: a body executing under run() may call run_nested() to fan a
-// sub-frontier (e.g. one decision's tableau wave) across whatever workers
-// are currently parked.  Open contexts form a stack; parked workers join the
-// most recently opened context first, so helpers flow to the deepest
-// frontier.  The nested caller always participates in its own claim loop, so
-// a nested run makes progress — degrading to an inline loop — even when
-// every other worker is busy, and can never deadlock on pool exhaustion.
+// (decision.h), and the resident MonitorService (service.h).  Runs do not
+// nest: a body must not call run() on the pool that is running it.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/fault.h"
@@ -35,9 +26,10 @@
 namespace il::engine::detail {
 
 /// Resolves Options::num_threads against a workload: 0 means the hardware
-/// concurrency, and the pool never exceeds the number of jobs.  Shared by
-/// the batch front-ends so "how many workers will this spawn" has exactly
-/// one answer.
+/// concurrency (1 if that is unknown), and the pool never exceeds the
+/// number of jobs.  Every front-end resolves its worker count here (pass
+/// ~0 as `jobs` for a resident pool), so "how many workers will this
+/// spawn" has exactly one answer.
 inline std::size_t effective_pool(std::size_t jobs, std::size_t requested) {
   std::size_t pool = requested;
   if (pool == 0) pool = std::thread::hardware_concurrency();
@@ -60,11 +52,9 @@ inline std::size_t effective_pool(std::size_t jobs, std::size_t requested) {
 ///
 /// The caller participates in its own claim loop, so a run on a fully busy
 /// pool degrades to the plain sequential loop instead of blocking.
-/// run_nested() is the same operation minus the top-level serialization;
-/// it is safe to call from inside a body and fans across parked workers
-/// only.  Top-level run() callers queue on an internal mutex, so threads
-/// that share one pool never interleave their top-level fan-outs; nested
-/// runs stack freely under whichever top-level run is active.
+/// Concurrent run() callers queue on an internal mutex, so threads that
+/// share one pool never interleave their fan-outs and at most one context
+/// is active at a time.
 class ParkedPool {
  public:
   explicit ParkedPool(std::size_t threads) : threads_(threads == 0 ? 1 : threads) {
@@ -87,8 +77,6 @@ class ParkedPool {
   ParkedPool& operator=(const ParkedPool&) = delete;
 
   std::size_t size() const { return threads_; }
-  std::uint64_t epochs() const { return epochs_.load(std::memory_order_relaxed); }
-  std::uint64_t nested_epochs() const { return nested_epochs_.load(std::memory_order_relaxed); }
 
   /// Wakes the pool, runs body(i) for every i in [0, count) with the caller
   /// claiming alongside the workers, and blocks until the context drains.
@@ -99,48 +87,16 @@ class ParkedPool {
       // Single work item: publishing a context just wakes workers to lose
       // the claim race.  Run inline — same order, same error contract — so
       // e.g. a service epoch touching one dirty shard costs no wake at all.
-      epochs_.fetch_add(1, std::memory_order_relaxed);
       body(0);
       return;
     }
     std::lock_guard<std::mutex> serialize(run_mu_);
-    epochs_.fetch_add(1, std::memory_order_relaxed);
-    run_context(count, body);
-  }
-
-  /// The nestable variant: identical claim/drain/error contract, but skips
-  /// the top-level serialization so a body already running under run() can
-  /// lend its frontier to whatever workers are parked.  Helpers prefer the
-  /// most recently opened context, so the deepest frontier fills first.
-  void run_nested(std::size_t count, const std::function<void(std::size_t)>& body) {
-    if (count == 0) return;
-    if (count == 1) {  // nothing to fan out; skip the publish round-trip
-      body(0);
-      return;
-    }
-    nested_epochs_.fetch_add(1, std::memory_order_relaxed);
-    run_context(count, body);
-  }
-
- private:
-  struct Context {
-    std::size_t count = 0;
-    const std::function<void(std::size_t)>* body = nullptr;
-    std::atomic<std::size_t> next{0};
-    std::size_t inside = 0;     ///< workers currently executing this context
-    bool open = false;          ///< still listed in open_ (has unclaimed work)
-    std::size_t error_index = 0;
-    std::exception_ptr error;
-  };
-
-  void run_context(std::size_t count, const std::function<void(std::size_t)>& body) {
     Context ctx;
     ctx.count = count;
     ctx.body = &body;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ctx.open = true;
-      open_.push_back(&ctx);
+      active_ = &ctx;
     }
     wake_.notify_all();
     drain(ctx);
@@ -151,9 +107,20 @@ class ParkedPool {
     if (ctx.error) std::rethrow_exception(ctx.error);
   }
 
+ private:
+  struct Context {
+    std::size_t count = 0;
+    const std::function<void(std::size_t)>* body = nullptr;
+    std::atomic<std::size_t> next{0};
+    std::size_t inside = 0;  ///< workers currently executing this context
+    std::size_t error_index = 0;
+    std::exception_ptr error;
+  };
+
   /// The shared claim loop.  Whoever runs it — owner or parked worker —
   /// claims indices until the counter passes count; the claimer that
-  /// observes exhaustion retires the context from the open list.
+  /// observes exhaustion unpublishes the context so parked workers stop
+  /// joining it.
   void drain(Context& ctx) {
     for (;;) {
       const std::size_t i = ctx.next.fetch_add(1, std::memory_order_relaxed);
@@ -170,18 +137,7 @@ class ParkedPool {
       }
     }
     std::lock_guard<std::mutex> lock(mu_);
-    retire_locked(ctx);
-  }
-
-  void retire_locked(Context& ctx) {
-    if (!ctx.open) return;
-    ctx.open = false;
-    for (std::size_t k = open_.size(); k-- > 0;) {
-      if (open_[k] == &ctx) {
-        open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(k));
-        break;
-      }
-    }
+    if (active_ == &ctx) active_ = nullptr;
   }
 
   void worker_loop() {
@@ -189,9 +145,9 @@ class ParkedPool {
       Context* ctx = nullptr;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        wake_.wait(lock, [&]() { return shutdown_ || !open_.empty(); });
+        wake_.wait(lock, [&]() { return shutdown_ || active_ != nullptr; });
         if (shutdown_) return;
-        ctx = open_.back();  // LIFO: help the deepest (most nested) frontier
+        ctx = active_;
         ++ctx->inside;
       }
       drain(*ctx);
@@ -203,14 +159,12 @@ class ParkedPool {
   }
 
   const std::size_t threads_;
-  std::mutex run_mu_;  ///< serializes concurrent top-level run() callers
+  std::mutex run_mu_;  ///< serializes concurrent run() callers
   std::mutex mu_;
   std::condition_variable wake_;
   std::condition_variable drained_;
-  std::atomic<std::uint64_t> epochs_{0};
-  std::atomic<std::uint64_t> nested_epochs_{0};
   bool shutdown_ = false;
-  std::vector<Context*> open_;  ///< contexts with unclaimed indices, oldest first
+  Context* active_ = nullptr;  ///< the running context while it has unclaimed indices
   std::vector<std::thread> workers_;
 };
 

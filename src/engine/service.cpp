@@ -86,15 +86,38 @@ struct MonitorService::Shard {
   std::size_t retired_memo_inserts = 0;
   std::size_t retired_obligation_dirtied = 0;
   std::size_t retired_obligation_recomputed = 0;
+
+  /// Builds the slot's Monitor from its registration inputs — the
+  /// "service.register" fault site, shared by Register and Reinstate.
+  /// Throws if the spec fails to build; the slot is then left without one.
+  static void build_monitor(Slot& slot, double gc_fraction) {
+    IL_FAULT_SCOPE(slot.id);
+    IL_INJECT_FAULT("service.register");
+    slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env);
+    slot.monitor->set_gc_fraction(gc_fraction);
+  }
+
+  /// Folds the slot's monitor's lifetime cache/graph counters into the
+  /// retired_* accumulators, then frees the monitor (its obligation graph
+  /// and settled cache).  The counters stay monotone while the resident
+  /// gauges drop with the freed stores.  Caller holds mu.
+  void release_monitor(Slot& slot) {
+    const EvalCache& c = slot.monitor->cache();
+    retired_memo_hits += c.hits();
+    retired_memo_misses += c.misses();
+    retired_memo_inserts += c.inserts();
+    const ObligationGraph& g = slot.monitor->obligations();
+    retired_obligation_dirtied += g.total_dirtied();
+    retired_obligation_recomputed += g.recomputes();
+    slot.monitor.reset();
+  }
 };
 
 MonitorService::MonitorService(Options options) : options_(options) {
   IL_REQUIRE(options_.queue_capacity >= 1, "MonitorService needs a queue capacity of at least 1");
   IL_REQUIRE(options_.max_epoch_batch >= 1, "MonitorService needs max_epoch_batch >= 1");
   max_batch_ = options_.max_epoch_batch;
-  std::size_t threads = options_.num_threads;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
+  const std::size_t threads = detail::effective_pool(~std::size_t{0}, options_.num_threads);
   std::size_t shards = options_.num_shards;
   if (shards == 0) shards = threads;
   shards_.reserve(shards);
@@ -350,10 +373,7 @@ void MonitorService::apply_barrier(Command& cmd) {
     slot.spec = std::move(cmd.spec);
     slot.env = std::move(cmd.env);
     try {
-      IL_FAULT_SCOPE(cmd.id);
-      IL_INJECT_FAULT("service.register");
-      slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env);
-      slot.monitor->set_gc_fraction(options_.obligation_gc_fraction);
+      Shard::build_monitor(slot, options_.obligation_gc_fraction);
     } catch (...) {
       // Quarantined at birth: the spec failed to build.  The slot still
       // exists — its row slots render Faulted, and reinstate() may retry
@@ -397,10 +417,7 @@ void MonitorService::apply_barrier(Command& cmd) {
           outcome = Outcome::Refused;
         } else {
           try {
-            IL_FAULT_SCOPE(cmd.id);
-            IL_INJECT_FAULT("service.register");
-            slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env);
-            slot.monitor->set_gc_fraction(options_.obligation_gc_fraction);
+            Shard::build_monitor(slot, options_.obligation_gc_fraction);
             slot.state = Shard::SlotState::Active;
             slot.fault = nullptr;
             slot.states_since_fault = 0;
@@ -440,17 +457,7 @@ void MonitorService::apply_barrier(Command& cmd) {
         it->state != Shard::SlotState::Retired) {
       found = true;
       if (it->state == Shard::SlotState::Active) {
-        // Keep the lifetime counters monotone; the resident entries (the
-        // gauges) fall with the destruction, which is the point: retiring
-        // frees the monitor's obligations and settled-cache entries.
-        const EvalCache& c = it->monitor->cache();
-        sh.retired_memo_hits += c.hits();
-        sh.retired_memo_misses += c.misses();
-        sh.retired_memo_inserts += c.inserts();
-        const ObligationGraph& g = it->monitor->obligations();
-        sh.retired_obligation_dirtied += g.total_dirtied();
-        sh.retired_obligation_recomputed += g.recomputes();
-        it->monitor.reset();  // tombstone: ranks/lookups stay stable
+        sh.release_monitor(*it);  // tombstone: ranks/lookups stay stable
         --sh.live;
       } else {
         // Quarantined: stores already freed and counters already folded.
@@ -485,16 +492,7 @@ void MonitorService::apply_barrier(Command& cmd) {
 void MonitorService::quarantine_slot_locked(Shard& sh, std::size_t slot_index,
                                             std::exception_ptr fault) {
   Shard::Slot& slot = sh.monitors[slot_index];
-  // The retire path's accounting: lifetime counters stay monotone while the
-  // resident gauges drop with the freed stores.
-  const EvalCache& c = slot.monitor->cache();
-  sh.retired_memo_hits += c.hits();
-  sh.retired_memo_misses += c.misses();
-  sh.retired_memo_inserts += c.inserts();
-  const ObligationGraph& g = slot.monitor->obligations();
-  sh.retired_obligation_dirtied += g.total_dirtied();
-  sh.retired_obligation_recomputed += g.recomputes();
-  slot.monitor.reset();  // frees the obligation graph and settled cache
+  sh.release_monitor(slot);  // the retire path's accounting
   slot.state = Shard::SlotState::Quarantined;
   slot.fault = std::move(fault);
   ++slot.faults;

@@ -7,12 +7,14 @@
 //
 //   One-shot checking     check(), check_spec(), Spec / Axiom / CheckResult
 //   Batch checking        BatchChecker / CheckJob / check_batch()
-//   Batch decisions       BatchDecider / DecisionJob / decide_batch()
+//   Batch decisions       BatchDecider / DecisionJob / decide_batch() —
+//                         parallel across jobs, one thread per decision
 //   Online monitoring     Monitor (one stream, verdict per appended state)
 //   Resident service      MonitorService / MonitorId / StreamId / VerdictRow,
 //                         Verdict / ServiceFault (fault isolation) — the
 //                         fleet driver: many monitors over shared streams
-//   Introspection         KvWriter, dump_counters(), MonitorService::dump()
+//   Introspection         MonitorService::dump() / dump_shard(), and the
+//                         KvWriter + dump_counters(StreamStats) they use
 //   Options & stats       Options, CheckStats / DecisionStats / StreamStats /
 //                         ServiceStats
 //   Building blocks       TraceBuilder / Trace / State / Env, parse_formula

@@ -122,13 +122,10 @@ DecisionStats iterate_graph(Graph& g) {
   return stats;
 }
 
-DecisionStats decide(ExprId expr, const util::ParallelFor* par) {
+DecisionStats decide(ExprId expr) {
   GraphBuilder builder;
-  builder.set_parallel(par);
   Graph g = builder.build(expr);
   DecisionStats stats = iterate_graph(g);
-  stats.build_waves = builder.iter_stats().waves;
-  stats.build_frontier_sets = builder.iter_stats().frontier_sets;
   stats.prefix_hits = builder.iter_stats().prefix_hits;
   stats.prefix_misses = builder.iter_stats().prefix_misses;
   return stats;

@@ -36,19 +36,15 @@ struct DecisionStats {
 
   // Builder-side counters, copied from GraphBuilder::iter_stats() by
   // decide(); zero when the caller built the graph itself.
-  std::size_t build_waves = 0;          ///< subset-construction waves
-  std::size_t build_frontier_sets = 0;  ///< marker sets expanded
-  std::size_t prefix_hits = 0;          ///< prefix-product accumulator reuse
+  std::size_t prefix_hits = 0;  ///< prefix-product accumulator reuse
   std::size_t prefix_misses = 0;
 };
 
 /// Runs the iteration method on a built graph (mutates alive flags).
 DecisionStats iterate_graph(Graph& g);
 
-/// Builds the graph for `expr` and decides satisfiability.  `par` is lent
-/// to the builder's subset-construction waves (GraphBuilder::set_parallel);
-/// null or width <= 1 builds inline, bit-identically.
-DecisionStats decide(ExprId expr, const util::ParallelFor* par = nullptr);
+/// Builds the graph for `expr` and decides satisfiability.
+DecisionStats decide(ExprId expr);
 
 /// Convenience: just the verdict.
 bool lll_satisfiable(ExprId expr);

@@ -1,6 +1,7 @@
 #include "lll/graph.h"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 
 #include "util/assert.h"
@@ -508,29 +509,26 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
   // its union_nodes chain once, not once per edge that reaches it.
   std::vector<NodeId> basis_of{kEndNode};  // id 0: the empty set == END
 
-  // The wave frontier, in discovery (= sequential BFS) order.
+  // Marker sets still to expand, in discovery (BFS) order.  A deque keeps
+  // the item being expanded in place while its leaves enqueue new ones.
   struct Item {
     Marks marks;
     std::uint32_t mark_id = 0;
   };
-  std::vector<Item> frontier;
-  std::vector<Item> next_frontier;
+  std::deque<Item> queue;
   {
     Marks start{m0};
     const std::uint32_t sid = mark_sets.intern(start).first;
     basis_of.push_back(m0);  // union_basis({m0}) == m0
-    frontier.push_back({std::move(start), sid});
+    queue.push_back({std::move(start), sid});
   }
 
   // ---------------------------------------------------------------------
-  // Enumeration core (phase 1).  Walks the choice product of one family —
-  // one edge per marked node, subject to a filter — in fixed order, keeping
-  // a per-depth target-set accumulator so sibling tuples share their common
-  // prefix; the payload and proposition products are left to the sequential
-  // merge, which computes them over interned ids.  Touches only the
-  // read-only G' edge table, never the pool, so frontier items may run
-  // concurrently; `leaf` receives each complete tuple and returns false to
-  // stop the item (plan cap reached).
+  // Enumeration core.  Walks the choice product of one family — one edge
+  // per marked node, subject to a filter — in fixed order, keeping a
+  // per-depth target-set accumulator so sibling tuples share their common
+  // prefix; `leaf` receives each complete tuple and computes the payload
+  // and proposition products over interned ids.
   // ---------------------------------------------------------------------
   struct Scratch {
     std::vector<std::vector<const ERef*>> options;
@@ -538,47 +536,48 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
     std::vector<Marks> targets;  ///< targets[i]: non-END targets of 0..i
     Marks leaf_marks;
   };
+  Scratch scratch;
 
-  auto run_family = [&](const Marks& marks, Scratch& s, auto&& allowed, bool spawn,
-                        bool b_transition, auto&& leaf) -> bool {
+  auto run_family = [&](const Marks& marks, auto&& allowed, bool spawn, bool b_transition,
+                        auto&& leaf) {
     const std::size_t k = marks.size();
-    if (s.options.size() < k) s.options.resize(k);
+    if (scratch.options.size() < k) scratch.options.resize(k);
     for (std::size_t d = 0; d < k; ++d) {
-      auto& opts = s.options[d];
+      auto& opts = scratch.options[d];
       opts.clear();
       for (const ERef& e : out_edges[marks[d]]) {
         if (allowed(e)) opts.push_back(&e);
       }
-      if (opts.empty()) return true;  // some marker cannot move
+      if (opts.empty()) return;  // some marker cannot move
     }
-    if (s.choice.size() < k) {
-      s.choice.resize(k);
-      s.targets.resize(k);
+    if (scratch.choice.size() < k) {
+      scratch.choice.resize(k);
+      scratch.targets.resize(k);
     }
-    auto rec = [&](auto&& self, std::size_t i) -> bool {
+    auto rec = [&](auto&& self, std::size_t i) -> void {
       if (i == k) {
-        s.leaf_marks = s.targets[k - 1];
+        scratch.leaf_marks = scratch.targets[k - 1];
         if (spawn) {
           // The init marker reproduces: implicit self edge
           // <m0, m0, T, θ_{m0,m0}>.
-          insert_node(s.leaf_marks, m0);
+          insert_node(scratch.leaf_marks, m0);
         }
-        return leaf(s.choice.data(), k, s.leaf_marks, spawn, b_transition);
+        leaf(scratch.choice.data(), k, scratch.leaf_marks, spawn, b_transition);
+        return;
       }
-      for (const ERef* e : s.options[i]) {
-        s.choice[i] = e;
+      for (const ERef* e : scratch.options[i]) {
+        scratch.choice[i] = e;
         if (i == 0) {
-          s.targets[0].clear();
-          if (!is_end(e->to)) s.targets[0].push_back(e->to);
+          scratch.targets[0].clear();
+          if (!is_end(e->to)) scratch.targets[0].push_back(e->to);
         } else {
-          s.targets[i] = s.targets[i - 1];
-          if (!is_end(e->to)) insert_node(s.targets[i], e->to);
+          scratch.targets[i] = scratch.targets[i - 1];
+          if (!is_end(e->to)) insert_node(scratch.targets[i], e->to);
         }
-        if (!self(self, i + 1)) return false;
+        self(self, i + 1);
       }
-      return true;
     };
-    return rec(rec, 0);
+    rec(rec, 0);
   };
 
   // Markers whose chosen edge reaches END are simply deleted (the paper's
@@ -586,21 +585,19 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
   // formal as() definition would wrongly make e.g. infloop(x) for a
   // one-instant x unsatisfiable, and the appendix itself notes the
   // simultaneity requirement can likely be dropped).
-  auto enumerate_item = [&](const Marks& marks, Scratch& s, auto&& leaf) {
+  auto enumerate_item = [&](const Marks& marks, auto&& leaf) {
     const bool has_init = std::binary_search(marks.begin(), marks.end(), m0);
     if (has_init) {
       // a-transitions: every marker moves along a non-b edge; init also
       // spawns a fresh copy of `a` while keeping its own marker.
-      if (!run_family(
-              marks, s, [&](const ERef& e) { return !e.e->b_side; },
-              /*spawn=*/true, /*b_transition=*/false, leaf)) {
-        return;
-      }
+      run_family(
+          marks, [&](const ERef& e) { return !e.e->b_side; },
+          /*spawn=*/true, /*b_transition=*/false, leaf);
       if (kind != IterKind::Infloop) {
         // b-transitions: init moves along a b edge without reproducing;
         // the other markers move along non-b edges.
         run_family(
-            marks, s,
+            marks,
             [&](const ERef& e) {
               const bool from_init = e.e->from == m0;
               return from_init ? e.e->b_side : !e.e->b_side;
@@ -610,21 +607,19 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
     } else {
       // Post-b transitions: every remaining marker moves.
       run_family(
-          marks, s, [](const ERef&) { return true; },
+          marks, [](const ERef&) { return true; },
           /*spawn=*/false, /*b_transition=*/false, leaf);
     }
   };
 
   // ---------------------------------------------------------------------
-  // Sequential merge (phase 2).  Consumes tuples in (frontier index,
-  // enumeration order) — the exact order the plain BFS emits — so edge
-  // order, mark-set interning, NodeId minting, and budget trip points are
-  // bit-identical at any thread count.  The interned payload and
-  // proposition products run through a longest-common-prefix accumulator
-  // over the tuple stream: a level shared with the previous tuple reuses
-  // its (prop, evs, ses, rel) ids outright, and an extension is one
-  // memoized conj merge plus three memoized span unions — all id-pair
-  // lookups, no vector work.
+  // Edge emission.  Consumes tuples in (queue order, enumeration order),
+  // which fixes edge order, mark-set interning, NodeId minting, and budget
+  // trip points.  The interned payload and proposition products run
+  // through a longest-common-prefix accumulator over the tuple stream: a
+  // level shared with the previous tuple reuses its (prop, evs, ses, rel)
+  // ids outright, and an extension is one memoized conj merge plus three
+  // memoized span unions — all id-pair lookups, no vector work.
   // ---------------------------------------------------------------------
   struct Acc {
     PropId prop = kEmptyProp;  ///< merged conjunction of choices 0..d
@@ -634,7 +629,7 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
   };
   std::vector<Acc> acc;
   std::vector<const ERef*> prev_parts;
-  NodeId from_node = kEndNode;  // set before each item is merged
+  NodeId from_node = kEndNode;  // set before each item is enumerated
   // One-entry caches for the per-leaf post-processing unions: consecutive
   // leaves usually share their accumulated payload ids, so each cache turns
   // a memo-table probe into a single compare.
@@ -645,7 +640,6 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
 
   auto emit_leaf = [&](const ERef* const* parts, std::size_t k, const Marks& to_marks,
                        bool spawn, bool b_transition) {
-    ++iter_stats_.choice_tuples;
     std::size_t lcp = 0;
     const std::size_t bound = std::min(k, prev_parts.size());
     while (lcp < bound && prev_parts[lcp] == parts[lcp]) ++lcp;
@@ -709,15 +703,12 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
       const auto interned = mark_sets.intern(to_marks);
       const std::uint32_t mid = interned.first;
       if (interned.second) {
-        ++iter_stats_.basis_misses;
         IL_CHECK(static_cast<std::size_t>(mid) == basis_of.size(),
                  "mark-set ids must mint densely");
         NodeId u = kEndNode;
         for (NodeId n : to_marks) u = pool_->union_nodes(u, n);
         basis_of.push_back(u);
-        next_frontier.push_back({to_marks, mid});
-      } else {
-        ++iter_stats_.basis_hits;
+        queue.push_back({to_marks, mid});
       }
       e.to = basis_of[mid];
       add_node(e.to);
@@ -728,82 +719,11 @@ Graph GraphBuilder::build_iter(IterKind kind, Graph a, const Graph* b) {
     out.edges.push_back(std::move(e));
   };
 
-  auto fused_leaf = [&](const ERef* const* parts, std::size_t k, const Marks& to_marks,
-                        bool spawn, bool b_transition) -> bool {
-    emit_leaf(parts, k, to_marks, spawn, b_transition);
-    return true;
-  };
-
-  // Phase-1 record of one item's enumeration, replayed by the sequential
-  // merge.  Plans past the cap are re-enumerated fused on the merge thread
-  // instead — a deterministic memory bound, not an observable change.
-  struct Pending {
-    Marks to_marks;
-    std::uint32_t parts_begin = 0;
-    std::uint32_t parts_len = 0;
-    bool spawn = false;
-    bool b_transition = false;
-  };
-  struct Plan {
-    std::vector<const ERef*> parts;
-    std::vector<Pending> edges;
-    bool truncated = false;
-  };
-  constexpr std::size_t kPlanCap = 32768;
-
-  Scratch fused_scratch;
-  std::vector<Plan> plans;
-  while (!frontier.empty()) {
-    ++iter_stats_.waves;
-    iter_stats_.frontier_sets += frontier.size();
-    next_frontier.clear();
-    if (util::usable(par_, frontier.size())) {
-      if (plans.size() < frontier.size()) plans.resize(frontier.size());
-      util::for_each_index(par_, frontier.size(), [&](std::size_t i) {
-        Plan& plan = plans[i];
-        plan.parts.clear();
-        plan.edges.clear();
-        plan.truncated = false;
-        Scratch s;
-        enumerate_item(frontier[i].marks, s,
-                       [&](const ERef* const* parts, std::size_t k, const Marks& to_marks,
-                           bool spawn, bool b_transition) -> bool {
-                         if (plan.edges.size() >= kPlanCap) {
-                           plan.truncated = true;
-                           return false;
-                         }
-                         Pending p;
-                         p.to_marks = to_marks;
-                         p.parts_begin = static_cast<std::uint32_t>(plan.parts.size());
-                         p.parts_len = static_cast<std::uint32_t>(k);
-                         p.spawn = spawn;
-                         p.b_transition = b_transition;
-                         plan.parts.insert(plan.parts.end(), parts, parts + k);
-                         plan.edges.push_back(std::move(p));
-                         return true;
-                       });
-      });
-      for (std::size_t i = 0; i < frontier.size(); ++i) {
-        from_node = basis_of[frontier[i].mark_id];
-        ++iter_stats_.basis_hits;
-        Plan& plan = plans[i];
-        if (plan.truncated) {
-          enumerate_item(frontier[i].marks, fused_scratch, fused_leaf);
-          continue;
-        }
-        for (const Pending& p : plan.edges) {
-          emit_leaf(plan.parts.data() + p.parts_begin, p.parts_len, p.to_marks, p.spawn,
-                    p.b_transition);
-        }
-      }
-    } else {
-      for (const Item& item : frontier) {
-        from_node = basis_of[item.mark_id];
-        ++iter_stats_.basis_hits;
-        enumerate_item(item.marks, fused_scratch, fused_leaf);
-      }
-    }
-    frontier.swap(next_frontier);
+  while (!queue.empty()) {
+    const Item& item = queue.front();
+    from_node = basis_of[item.mark_id];
+    enumerate_item(item.marks, emit_leaf);
+    queue.pop_front();
   }
   std::sort(out.nodes.begin(), out.nodes.end());
   return out;

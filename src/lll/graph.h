@@ -32,8 +32,10 @@
 // marker sets only (the paper's definition ranges over all subsets; the
 // reachable fragment decides the same language and keeps the benchmarkable
 // blowup honest), with marker sets interned exactly like nodes so the
-// visited check is "did interning mint a fresh id".  Before iterating, `a`
-// is node-disjoined per the paper.
+// visited check is "did interning mint a fresh id".  Marker sets are
+// expanded one at a time in discovery (BFS) order, which fixes NodeId
+// minting and edge order.  Before iterating, `a` is node-disjoined per the
+// paper.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +49,6 @@
 
 #include "lll/ast.h"
 #include "lll/interp.h"
-#include "util/parallel.h"
 
 namespace il::lll {
 
@@ -411,41 +412,16 @@ class GraphBuilder {
   Graph build(ExprId expr);
 
   /// Counters from the iterator subset constructions of one build(), summed
-  /// over every build_iter in the expression.  The prefix_* pair tracks the
+  /// over every build_iter in the expression.  They track the
   /// longest-common-prefix accumulator over choice tuples: a hit is a tuple
   /// level whose merged payload product was reused from the previous tuple,
   /// a miss is a level that had to be computed (one conj_merge plus three
-  /// memoized span unions).  The basis_* pair tracks the per-mark-set memo
-  /// of union_basis results keyed on interned mark-set ids.
+  /// memoized span unions).
   struct IterStats {
-    std::size_t waves = 0;           ///< frontier waves processed
-    std::size_t frontier_sets = 0;   ///< marker sets expanded
-    std::size_t choice_tuples = 0;   ///< composite edges enumerated
     std::size_t prefix_hits = 0;
     std::size_t prefix_misses = 0;
-    std::size_t basis_hits = 0;
-    std::size_t basis_misses = 0;
-
-    /// Counter-export hook (engine/introspect.h): fn(name, value) per field.
-    template <typename Fn>
-    void for_each_counter(Fn&& fn) const {
-      fn("waves", static_cast<std::uint64_t>(waves));
-      fn("frontier_sets", static_cast<std::uint64_t>(frontier_sets));
-      fn("choice_tuples", static_cast<std::uint64_t>(choice_tuples));
-      fn("prefix_hits", static_cast<std::uint64_t>(prefix_hits));
-      fn("prefix_misses", static_cast<std::uint64_t>(prefix_misses));
-      fn("basis_hits", static_cast<std::uint64_t>(basis_hits));
-      fn("basis_misses", static_cast<std::uint64_t>(basis_misses));
-    }
   };
   const IterStats& iter_stats() const { return iter_stats_; }
-
-  /// Optional intra-build fan-out for the subset-construction waves.  The
-  /// handle is borrowed; pass nullptr (the default) to build inline.  Any
-  /// width yields bit-identical graphs: the parallel phase computes pure
-  /// per-marker-set values and all interning happens in a sequential merge
-  /// ordered by (frontier index, enumeration order).
-  void set_parallel(const util::ParallelFor* par) { par_ = par; }
 
   std::size_t basis_used() const { return static_cast<std::size_t>(next_basis_); }
   std::size_t edge_budget() const { return edge_budget_; }
@@ -480,7 +456,6 @@ class GraphBuilder {
   std::size_t edge_budget_ = kDefaultEdgeBudget;
   std::size_t payload_byte_budget_ = kDefaultPayloadByteBudget;
   IterStats iter_stats_;
-  const util::ParallelFor* par_ = nullptr;
 };
 
 }  // namespace il::lll

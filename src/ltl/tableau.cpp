@@ -50,83 +50,53 @@ std::size_t Tableau::NodeSigHash::operator()(const NodeSig& s) const {
   return hash_id_vec(seed, s.evs);
 }
 
-Tableau::Tableau(const Arena& arena, Id formula, const util::ParallelFor* par) : arena_(arena) {
+Tableau::Tableau(const Arena& arena, Id formula) : arena_(arena) {
   // BFS over start sets; cache expansions per start set so distinct nodes
   // sharing a next-set reuse the work.
   std::unordered_map<std::vector<Id>, std::vector<int>, IdVecHash> expansion_cache;
 
-  // Interns already-computed expansions of `start` in expansion order,
-  // stashing each newly minted node's next-set for later edge creation.
-  // Sequential on purpose: node ids depend on the order this runs.
-  auto intern_all = [&](const std::vector<Id>& start,
-                        std::vector<Expansion> exps) -> const std::vector<int>& {
+  // Nodes whose outgoing edges are not yet built, in creation (FIFO) order.
+  struct PendingNode {
+    int node;
+    std::vector<Id> lits;
+    std::vector<Id> evs;
+    std::vector<Id> next;
+  };
+  std::vector<PendingNode> pending;
+
+  // Expands `start`, interns the expansions in expansion order, and queues
+  // each newly minted node for edge creation.  Node ids depend on the order
+  // this runs.
+  auto intern_all = [&](const std::vector<Id>& start) -> const std::vector<int>& {
     std::vector<int> ids;
-    for (const Expansion& e : exps) {
+    for (const Expansion& e : expand(start)) {
       const std::size_t before = nodes_.size();
       const int node = intern_node(e, e.next);
       ids.push_back(node);
-      if (nodes_.size() > before) pending_next_.push_back({node, e.lits, e.evs, e.next});
+      if (nodes_.size() > before) pending.push_back({node, e.lits, e.evs, e.next});
     }
     return expansion_cache.emplace(start, std::move(ids)).first->second;
   };
 
   // Seed with the formula itself.
-  const std::vector<Id> seed{formula};
-  ++waves_;
-  ++frontier_sets_;
-  for (int n : intern_all(seed, expand(seed))) initial_.push_back(n);
+  for (int n : intern_all({formula})) initial_.push_back(n);
 
   // Create edges: each node's successors are the expansions of its next set.
-  // The pending list is consumed in wave-synchronous slices.  A wave first
-  // collects the slice's distinct uncached next-sets in first-occurrence
-  // order and expands them through `par` — expand() only reads the arena, so
-  // the tasks are independent — then replays the slice sequentially in FIFO
-  // order, interning nodes and wiring edges.  The sequential phase touches
-  // sets in exactly the order the one-at-a-time algorithm would, so node ids
-  // and the edge sequence are bit-identical at any worker width.
-  std::size_t lo = 0;
-  while (lo < pending_next_.size()) {
-    const std::size_t hi = pending_next_.size();
-    ++waves_;
-
-    std::vector<std::vector<Id>> todo;  // distinct uncached next-sets, by first occurrence
-    std::unordered_map<std::vector<Id>, std::size_t, IdVecHash> slot;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::vector<Id>& next = pending_next_[i].next;
-      if (expansion_cache.count(next) != 0 || slot.count(next) != 0) continue;
-      slot.emplace(next, todo.size());
-      todo.push_back(next);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const PendingNode p = std::move(pending[i]);  // intern_all may reallocate `pending`
+    auto it = expansion_cache.find(p.next);
+    const std::vector<int>& succs = it != expansion_cache.end() ? it->second : intern_all(p.next);
+    for (int s : succs) {
+      TableauEdge e;
+      e.from = p.node;
+      e.to = s;
+      e.lits = p.lits;
+      e.evs = p.evs;
+      const int edge_idx = static_cast<int>(edges_.size());
+      edges_.push_back(std::move(e));
+      nodes_[p.node].out.push_back(edge_idx);
+      nodes_[s].in.push_back(edge_idx);
     }
-    frontier_sets_ += todo.size();
-
-    std::vector<std::vector<Expansion>> expanded(todo.size());
-    util::for_each_index(par, todo.size(),
-                         [&](std::size_t t) { expanded[t] = expand(todo[t]); });
-
-    for (std::size_t i = lo; i < hi; ++i) {
-      const PendingNode p = pending_next_[i];  // copy: intern_all may reallocate
-      const std::vector<int>* succs;
-      auto it = expansion_cache.find(p.next);
-      if (it != expansion_cache.end()) {
-        succs = &it->second;
-      } else {
-        // First pending in this wave with this next-set: intern its
-        // pre-expanded result (each slot is consumed exactly once).
-        succs = &intern_all(p.next, std::move(expanded[slot.at(p.next)]));
-      }
-      for (int s : *succs) {
-        TableauEdge e;
-        e.from = p.node;
-        e.to = s;
-        e.lits = p.lits;
-        e.evs = p.evs;
-        const int edge_idx = static_cast<int>(edges_.size());
-        edges_.push_back(std::move(e));
-        nodes_[p.node].out.push_back(edge_idx);
-        nodes_[s].in.push_back(edge_idx);
-      }
-    }
-    lo = hi;
   }
 }
 
@@ -264,7 +234,7 @@ void Tableau::prune_edges(const std::function<bool(const std::vector<Id>&)>& lit
   }
 }
 
-bool Tableau::iterate(const util::ParallelFor* par) {
+bool Tableau::iterate() {
   // Distinct eventualities appearing on any edge.
   std::vector<Id> all_evs;
   for (const TableauEdge& e : edges_) all_evs.insert(all_evs.end(), e.evs.begin(), e.evs.end());
@@ -273,12 +243,10 @@ bool Tableau::iterate(const util::ParallelFor* par) {
   // One backward sweep per eventuality per pass: mark every alive node from
   // which a node whose label contains `ev` is alive-reachable, then delete
   // all edges whose eventuality is unmarked at their terminal node.  Each
-  // pass batches the sweeps against the pass-start alive state — the sweeps
-  // only read alive flags, so one independent task per eventuality — and
-  // applies the kill lists afterwards in eventuality order.  The deletions
-  // are monotone, so batching them per pass converges to the same fixpoint
-  // as deleting one edge at a time; the serial path (null `par`) runs the
-  // same batched schedule, making the alive flags identical at any width.
+  // pass runs every sweep against the pass-start alive state and applies
+  // the kill lists afterwards in eventuality order.  The deletions are
+  // monotone, so batching them per pass converges to the same fixpoint as
+  // deleting one edge at a time.
   auto sweep_kills = [&](Id ev) {
     std::vector<char> marked(nodes_.size(), 0);
     std::vector<int> stack;
@@ -331,10 +299,8 @@ bool Tableau::iterate(const util::ParallelFor* par) {
         }
       }
     }
-    std::vector<std::vector<int>> kills(active.size());
-    util::for_each_index(par, active.size(),
-                         [&](std::size_t t) { kills[t] = sweep_kills(active[t]); });
-    sweep_tasks_ += active.size();
+    std::vector<std::vector<int>> kills;
+    for (Id ev : active) kills.push_back(sweep_kills(ev));
     for (const std::vector<int>& kl : kills) {
       for (int eidx : kl) {
         if (edges_[eidx].alive) {

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "ltl/formula.h"
-#include "util/parallel.h"
 
 namespace il::ltl {
 
@@ -62,13 +61,7 @@ class Tableau {
  public:
   /// Builds Graph(formula) — callers wanting validity of A pass nnf(!A).
   /// The formula must be in NNF.  The arena is only read.
-  ///
-  /// Construction proceeds in wave-synchronous slices of the pending-node
-  /// frontier: each wave expands its distinct uncached next-sets through
-  /// `par` (expand() is const and only reads the arena), then interns nodes
-  /// and wires edges sequentially in FIFO order.  Node ids and edge order
-  /// are therefore bit-identical at any worker width, including none.
-  Tableau(const Arena& arena, Id formula, const util::ParallelFor* par = nullptr);
+  Tableau(const Arena& arena, Id formula);
 
   /// Optional theory pre-pass (Algorithm A): kills edges whose literal
   /// conjunction the callback rejects.  Call before iterate().
@@ -77,12 +70,11 @@ class Tableau {
   /// The Iter deletion loop.  Returns true if some initial node survives
   /// (i.e. the formula is satisfiable, modulo any theory pre-pass).
   ///
-  /// Each pass batches the per-eventuality backward sweeps against the
-  /// pass-start alive state (one independent task per eventuality, fanned
-  /// through `par`) and applies the kill lists in eventuality order.
-  /// Deletions are monotone, so the fixpoint — and every alive flag at
-  /// return — is identical to the one-sweep-at-a-time schedule.
-  bool iterate(const util::ParallelFor* par = nullptr);
+  /// Each pass runs the per-eventuality backward sweeps against the
+  /// pass-start alive state and applies the kill lists in eventuality
+  /// order.  Deletions are monotone, so the fixpoint — and every alive flag
+  /// at return — is identical to the one-sweep-at-a-time schedule.
+  bool iterate();
 
   /// Extracts an ultimately periodic model (prefix + loop of literal
   /// conjunctions) from the surviving graph.  Requires iterate() returned
@@ -102,13 +94,6 @@ class Tableau {
   const std::vector<TableauEdge>& edges() const { return edges_; }
   const std::vector<int>& initial_nodes() const { return initial_; }
   const Arena& arena() const { return arena_; }
-
-  /// Construction waves (frontier slices, including the seed wave).
-  std::size_t wave_count() const { return waves_; }
-  /// Distinct next-sets expanded across all waves (parallelizable units).
-  std::size_t frontier_set_count() const { return frontier_sets_; }
-  /// Per-eventuality backward sweeps run by iterate() (parallelizable units).
-  std::size_t sweep_task_count() const { return sweep_tasks_; }
 
  private:
   struct Expansion {
@@ -145,19 +130,6 @@ class Tableau {
   std::vector<TableauEdge> edges_;
   std::vector<int> initial_;
   std::unordered_map<NodeSig, int, NodeSigHash> node_index_;
-
-  // Construction bookkeeping: nodes whose outgoing edges are not yet built.
-  struct PendingNode {
-    int node;
-    std::vector<Id> lits;
-    std::vector<Id> evs;
-    std::vector<Id> next;
-  };
-  std::vector<PendingNode> pending_next_;
-
-  std::size_t waves_ = 0;
-  std::size_t frontier_sets_ = 0;
-  std::size_t sweep_tasks_ = 0;
 };
 
 /// Convenience: satisfiability of an arbitrary (non-NNF) formula.

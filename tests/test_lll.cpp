@@ -283,6 +283,19 @@ TEST(Decide, IterStarForcesB) {
   EXPECT_TRUE(lll_satisfiable(iter_paren(concat(lit("x"), tstar()), ff())));
 }
 
+// The iterator subset construction reuses the merged payload product of a
+// choice tuple's common prefix with the previous tuple.  iter(*) nested in
+// its own first argument enumerates many tuples sharing long prefixes, so
+// the memo must fire.
+TEST(Decide, PrefixProductMemoFiresOnDeepFirstArgument) {
+  ExprId deep_first_arg = concat(lit("p"), tstar());
+  for (int i = 0; i < 2; ++i) {
+    deep_first_arg =
+        iter_paren(deep_first_arg, concat(lit("q" + std::to_string(i)), tstar()));
+  }
+  EXPECT_GT(decide(deep_first_arg).prefix_hits, 0u);
+}
+
 // Graph decision agrees with the bounded reference semantics on
 // finite-witness expressions.
 TEST(Decide, AgreesWithPsiOnFiniteWitnessCorpus) {
