@@ -4,13 +4,19 @@
 // axioms fail, reported in the same order, at *every* prefix of the trace —
 // to a from-scratch uncached check of each prefix (tests/oracle.h).  Good
 // and misbehaving runs are both streamed, one Monitor at a time and through
-// a MonitorService fleet at several pool widths.
+// a MonitorService fleet at several pool widths.  Two synthetic families
+// ride along: an event-search matrix (forward and backward searches on
+// suffix-insensitive and suffix-sensitive events) and a spec whose
+// suffix-sensitive bodies read more bindings than a key holds inline.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <deque>
+#include <random>
+#include <string>
 #include <vector>
 
+#include "core/ast.h"
 #include "core/check.h"
 #include "core/monitor.h"
 #include "engine/service.h"
@@ -30,12 +36,81 @@ std::vector<std::int64_t> domain(std::size_t n) {
   return d;
 }
 
+/// Forward (`[ E => ]`) or backward (`[ E <= ]`) event searches on the
+/// event E = {p} (suffix-insensitive) or E = {[] q} (suffix-sensitive: its
+/// changeset moves as the trace grows).  The outer [] starts a search at
+/// every position; the starred arm also exercises the requiredness path.
+Spec event_search_spec(bool backward, bool sensitive) {
+  const TermPtr event = t::event(sensitive ? f::always(f::atom("q")) : f::atom("p"));
+  const auto search = [&](TermPtr e) {
+    return backward ? t::bwd(std::move(e), nullptr) : t::fwd(std::move(e), nullptr);
+  };
+  Spec spec;
+  spec.name = std::string(backward ? "bwd" : "fwd") + (sensitive ? "_sensitive" : "_plain");
+  spec.axioms.push_back({"every", f::always(f::interval(search(event), f::eventually(f::atom("r"))))});
+  spec.axioms.push_back({"required", f::interval(search(t::star(event)), f::eventually(f::atom("r")))});
+  return spec;
+}
+
+/// Seeded random boolean trace over p (rare), q (mostly true) and r (rare).
+Trace random_pqr_trace(std::uint32_t seed, std::size_t n) {
+  std::mt19937 rng(seed);
+  std::bernoulli_distribution p(0.3), q(0.8), r(0.15);
+  Trace trace;
+  for (std::size_t k = 0; k < n; ++k) {
+    State s;
+    s.set_bool("p", p(rng));
+    s.set_bool("q", q(rng));
+    s.set_bool("r", r(rng));
+    trace.push(s);
+  }
+  return trace;
+}
+
+/// Quantifies a, b, c, d, e over {0, 1}: bodies that read all five carry
+/// more bindings than EvalCache::kMaxEnv.  The "narrow" axiom reads one.
+Spec wide_env_spec() {
+  const std::string sum = "$a + $b + $c + $d + $e";
+  const auto quantify = [](FormulaPtr body) {
+    for (const char* v : {"e", "d", "c", "b", "a"}) body = f::forall(v, {0, 1}, std::move(body));
+    return body;
+  };
+  const TermPtr settle = t::event(f::always(f::atom("x != " + sum)));
+  const FormulaPtr answered = f::eventually(f::atom("y = " + sum));
+  Spec spec;
+  spec.name = "wide_env";
+  spec.axioms.push_back({"narrow", f::forall("a", {0, 1}, f::always(f::implies(
+                                                             f::atom("x = $a"),
+                                                             f::eventually(f::atom("y = $a")))))});
+  spec.axioms.push_back(
+      {"resp", quantify(f::always(f::implies(f::atom("x = " + sum), answered)))});
+  spec.axioms.push_back({"fwd", quantify(f::interval(t::fwd(settle, nullptr), answered))});
+  spec.axioms.push_back({"bwd", quantify(f::interval(t::bwd(settle, nullptr), answered))});
+  return spec;
+}
+
+Trace random_xy_trace(std::uint32_t seed, std::size_t n) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::int64_t> v(0, 5);
+  Trace trace;
+  for (std::size_t k = 0; k < n; ++k) {
+    State s;
+    s.set("x", v(rng));
+    s.set("y", v(rng));
+    trace.push(s);
+  }
+  return trace;
+}
+
 /// Every case-study spec paired with good and misbehaving recorded runs —
-/// the same corpus the offline differential test uses, replayed as streams.
+/// the same corpus the offline differential test uses, replayed as streams —
+/// plus the synthetic families, each of whose traces must reach a failing
+/// prefix (`must_fail`).
 struct StreamCases {
   std::deque<Spec> specs;  ///< deque: spec_of pointers survive growth
   std::vector<const Spec*> spec_of;  ///< per trace
   std::vector<Trace> traces;
+  std::vector<bool> must_fail;  ///< per trace
 
   StreamCases() {
     traces.reserve(32);
@@ -77,11 +152,24 @@ struct StreamCases {
     sys::ArbiterRunConfig arc;
     add(arbiter, sys::run_arbiter(arc));
     add(arbiter, sys::run_arbiter_buggy(arc));
+
+    for (const bool backward : {false, true}) {
+      for (const bool sensitive : {false, true}) {
+        specs.push_back(event_search_spec(backward, sensitive));
+        for (std::uint32_t seed = 1; seed <= 2; ++seed) {
+          add(&specs.back(), random_pqr_trace(seed, 48), true);
+        }
+      }
+    }
+
+    specs.push_back(wide_env_spec());
+    add(&specs.back(), random_xy_trace(1, 40), true);
   }
 
-  void add(const Spec* spec, Trace trace) {
+  void add(const Spec* spec, Trace trace, bool fails = false) {
     traces.push_back(std::move(trace));
     spec_of.push_back(spec);
+    must_fail.push_back(fails);
   }
 };
 
@@ -97,6 +185,9 @@ TEST(MonitorIncremental, BitIdenticalToUncachedAtEveryPrefix) {
       const CheckResult got = inc.append(run.states()[k]);
       ASSERT_EQ(got.ok, oracle[k].ok) << "case " << c << " prefix " << k;
       ASSERT_EQ(got.failed, oracle[k].failed) << "case " << c << " prefix " << k;
+    }
+    if (cases.must_fail[c]) {
+      EXPECT_GT(count_failing(oracle), 0u) << "case " << c;
     }
     failing_prefixes += count_failing(oracle);
   }
