@@ -70,9 +70,9 @@ void steady_state_append(benchmark::State& state, const Spec& spec) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBlock));
   const ObligationGraph& g = m.obligations();
   state.counters["obligation_entries"] = static_cast<double>(g.size());
-  if (g.index_stabs() > 0) {
+  if (g.epoch() > 0) {
     state.counters["obligation_touched"] =
-        static_cast<double>(g.touched_total()) / static_cast<double>(g.index_stabs());
+        static_cast<double>(g.touched_total()) / static_cast<double>(g.epoch());
   }
 }
 

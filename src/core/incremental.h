@@ -17,19 +17,22 @@
 //   - OPEN WORLD — a suffix-sensitive node over <lo, inf>: the answer may
 //     change as states arrive.  Each such query is an obligation in the
 //     ObligationGraph (core/memo.h) carrying its current verdict, a settled
-//     flag, dependency edges, and per-kind resume state.  Re-settlement is
-//     a delta pass:
+//     flag, dependency edges, and per-kind resume state.  Every query gets
+//     a record — bindings too many to key inline spill into the graph's
+//     span table — and all of them go through one memoized entry
+//     (memoized()).  Re-settlement is a delta pass:
 //
-//       []a   keeps a scan frontier and the start positions whose body
-//             verdict is true-but-open; an append rechecks those and scans
-//             only the new positions.  Settles (false) when some body
-//             verdict settles false.
-//       <>a   dual: false-but-open positions; settles (true) on a settled
-//             witness.
-//       event search: the changeset scan resumes from its frontier (forward)
-//             or covers just the new region (backward) when the defining
-//             formula is suffix-insensitive — probes below the horizon are
-//             immutable.  A found forward change settles.
+//       []a / <>a  one scan: a frontier plus the start positions whose body
+//             verdict is still open; an append rechecks those and scans
+//             only the new positions.  Settles on a settled decisive body
+//             verdict (false for [], true for <>).
+//       event search: the changeset probes are extended while they stay
+//             settled, and that settled prefix is never rescanned.  Forward
+//             keeps the probe at its end and settles on a found change
+//             whose probes are all settled; backward keeps the best edge
+//             inside it and scans only the open region above, top-down.  A
+//             suffix-insensitive defining formula probes settled
+//             everywhere, so its prefix reaches the horizon each epoch.
 //       everything else composes child obligations and settles exactly when
 //             the children its value depends on have settled.
 //
@@ -82,13 +85,25 @@ class IncrementalEvaluator {
   bool sat_root(const Formula& formula, const Env& env);
 
  private:
+  /// Query results, with how each loads from and stores into an
+  /// obligation's result slot.
   struct Val {
     bool value = false;
     bool settled = false;
+    static Val load(const EvalCache::Entry& e, bool settled) { return {e.value, settled}; }
+    void store(EvalCache::Entry& e) const { e.value = value; }
   };
   struct Found {
     Interval iv;
     bool settled = false;
+    static Found load(const EvalCache::Entry& e, bool settled) {
+      return {e.null ? Interval::none() : Interval::make(e.lo, e.hi), settled};
+    }
+    void store(EvalCache::Entry& e) const {
+      e.lo = iv.lo;
+      e.hi = iv.hi;
+      e.null = iv.null;
+    }
   };
 
   using ObId = ObligationGraph::ObId;
@@ -101,30 +116,28 @@ class IncrementalEvaluator {
   Found find_inc(const Term& t, Interval ctx, Dir dir, const Env& env, ObId dep_to);
   Val stars_inc(const Term& t, Interval ctx, Dir dir, const Env& env, ObId dep_to);
 
-  /// Open-world recomputation bodies.  `attach` is where child dependency
-  /// edges go (the obligation itself, or the caller's on key overflow);
-  /// `self` is the obligation carrying resume state (kNoOb on overflow, in
-  /// which case temporal kinds degrade to a full — still correct — scan).
-  Val sat_compute(const Formula& f, std::uint64_t lo, const Env& env, ObId attach, ObId self);
-  Val always_compute(const Formula& f, std::uint64_t lo, const Env& env, ObId attach,
-                     ObId self);
-  Val eventually_compute(const Formula& f, std::uint64_t lo, const Env& env, ObId attach,
-                         ObId self);
-  Found find_compute(const Term& t, std::uint64_t lo, Dir dir, const Env& env, ObId attach,
-                     ObId self);
-  Found find_event_fwd(const Term& t, std::uint64_t lo, const Env& env, ObId attach, ObId self);
-  Found find_event_bwd(const Term& t, std::uint64_t lo, const Env& env, ObId attach, ObId self);
-  Val stars_compute(const Term& t, std::uint64_t lo, Dir dir, const Env& env, ObId attach,
-                    ObId self);
+  /// The one memoized open-world entry: obtains the record for (node, op,
+  /// <lo, inf>, env), links it under `dep_to` (or marks it a root), answers
+  /// from a settled or fresh result, and otherwise runs compute(self) and
+  /// stores its result.  Node is Formula or Term.
+  template <typename R, typename Node, typename Compute>
+  R memoized(const Node& node, ObligationGraph::Op op, std::uint64_t lo, const Env& env,
+             ObId dep_to, Compute&& compute);
+
+  /// Open-world recomputation bodies.  `self` is the obligation being
+  /// recomputed: it carries the resume state, and the child queries it
+  /// issues register their dependency edges to it.
+  Val sat_compute(const Formula& f, std::uint64_t lo, const Env& env, ObId self);
+  Val scan_compute(const Formula& f, std::uint64_t lo, const Env& env, ObId self);  ///< [] and <>
+  Found find_compute(const Term& t, std::uint64_t lo, Dir dir, const Env& env, ObId self);
+  Found find_event_fwd(const Term& t, std::uint64_t lo, const Env& env, ObId self);
+  Found find_event_bwd(const Term& t, std::uint64_t lo, const Env& env, ObId self);
+  Val stars_compute(const Term& t, std::uint64_t lo, Dir dir, const Env& env, ObId self);
 
   /// Changeset probe: does the defining formula hold on <k, inf>?
   /// Suffix-insensitive defining formulas go through the settled delegate
   /// (the overwhelmingly common case); sensitive ones recurse open-world.
-  Val probe(const Formula& defining, std::uint64_t k, const Env& env, ObId attach);
-
-  bool make_key(std::uint32_t node, ObligationGraph::Op op, std::uint64_t lo,
-                const std::vector<std::uint32_t>& metas, const Env& env,
-                ObligationGraph::Key& key);
+  Val probe(const Formula& defining, std::uint64_t k, const Env& env, ObId self);
 
   const Trace& trace_;
   ObligationGraph* graph_;

@@ -1,6 +1,7 @@
 #include "core/memo.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/intern.h"
 #include "util/assert.h"
@@ -22,6 +23,23 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Calls fn(meta, value) for each binding of `env` on one of the sorted
+/// `metas` (a linear merge), while fn returns true.  Returns false if fn
+/// stopped the walk.
+template <typename Fn>
+bool for_each_observed(const std::vector<std::uint32_t>& metas, const Env& env, Fn&& fn) {
+  if (metas.empty() || env.empty()) return true;
+  const auto& bound = env.bindings();
+  std::size_t bi = 0;
+  for (std::uint32_t meta : metas) {
+    while (bi < bound.size() && bound[bi].first < meta) ++bi;
+    if (bi == bound.size()) break;
+    if (bound[bi].first != meta) continue;
+    if (!fn(meta, bound[bi].second)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 // The slot array is allocated lazily on the first store: short-lived caches
@@ -29,7 +47,7 @@ inline std::uint64_t mix64(std::uint64_t x) {
 EvalCache::EvalCache() = default;
 
 std::size_t EvalCache::hash_key(const Key& k) {
-  std::uint64_t h = mix64((static_cast<std::uint64_t>(k.node) << 32) | k.trace);
+  std::uint64_t h = mix64((static_cast<std::uint64_t>(k.node) << 32) ^ k.trace);
   h ^= mix64(k.lo + 0x100000001b3ull * k.hi);
   h ^= mix64((static_cast<std::uint64_t>(k.op) << 8) | k.n_env);
   for (std::uint8_t i = 0; i < k.n_env; ++i) {
@@ -108,19 +126,13 @@ bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
                        std::uint8_t& n_env, std::uint32_t* metas_out,
                        std::int64_t* values_out) {
   n_env = 0;
-  if (metas.empty() || env.empty()) return true;
-  const auto& bound = env.bindings();
-  std::size_t bi = 0;
-  for (std::uint32_t meta : metas) {
-    while (bi < bound.size() && bound[bi].first < meta) ++bi;
-    if (bi == bound.size()) break;
-    if (bound[bi].first != meta) continue;
+  return for_each_observed(metas, env, [&](std::uint32_t meta, std::int64_t value) {
     if (n_env == EvalCache::kMaxEnv) return false;
     metas_out[n_env] = meta;
-    values_out[n_env] = bound[bi].second;
+    values_out[n_env] = value;
     ++n_env;
-  }
-  return true;
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -131,7 +143,7 @@ std::size_t ObligationGraph::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = mix64((static_cast<std::uint64_t>(k.node) << 8) |
                           static_cast<std::uint64_t>(k.op));
   h ^= mix64(k.lo + 0x9e3779b97f4a7c15ull * k.n_env);
-  for (std::uint8_t i = 0; i < k.n_env; ++i) {
+  for (std::size_t i = 0; i < k.inline_len(); ++i) {
     h ^= mix64((static_cast<std::uint64_t>(k.metas[i]) << 32) ^
                static_cast<std::uint64_t>(k.values[i]));
   }
@@ -190,6 +202,28 @@ void ObligationGraph::begin_epoch() {
   seed_and_close(walk_stack_);
 }
 
+ObligationGraph::Key ObligationGraph::key(std::uint32_t node, Op op, std::uint64_t lo,
+                                          const std::vector<std::uint32_t>& metas,
+                                          const Env& env) {
+  Key k;
+  k.node = node;
+  k.op = op;
+  k.lo = lo;
+  if (restrict_env_span(metas, env, k.n_env, k.metas, k.values)) return k;
+  std::vector<std::pair<std::uint32_t, std::int64_t>> span;
+  for_each_observed(metas, env, [&](std::uint32_t meta, std::int64_t value) {
+    span.emplace_back(meta, value);
+    return true;
+  });
+  IL_CHECK(span.size() <= 0xff, "too many observed bindings for one key");
+  std::fill(std::begin(k.metas), std::end(k.metas), 0u);
+  std::fill(std::begin(k.values), std::end(k.values), 0);
+  k.n_env = static_cast<std::uint8_t>(span.size());
+  const std::int64_t next = static_cast<std::int64_t>(spans_.size());
+  k.values[0] = spans_.emplace(std::move(span), next).first->second;
+  return k;
+}
+
 ObligationGraph::ObId ObligationGraph::obtain(const Key& key) {
   const auto it = index_.find(key);
   if (it != index_.end()) return it->second;
@@ -212,14 +246,13 @@ ObligationGraph::ObId ObligationGraph::obtain(const Key& key) {
   return id;
 }
 
-void ObligationGraph::touch_horizon(ObId attach) {
-  if (attach == kNoOb) return;
-  Obligation& ob = obligations_[attach];
+void ObligationGraph::touch_horizon(ObId id) {
+  Obligation& ob = obligations_[id];
   if (ob.reader_pos != kNoOb || ob.settled) return;
   // Once is enough: the window [key.lo, inf) contains every later horizon,
   // so the registration never has to move.
   ob.reader_pos = static_cast<ObId>(readers_.size());
-  readers_.push_back(attach);
+  readers_.push_back(id);
 }
 
 void ObligationGraph::remove_reader(Obligation& ob) {
@@ -232,7 +265,6 @@ void ObligationGraph::remove_reader(Obligation& ob) {
 }
 
 void ObligationGraph::on_settle(ObId id) {
-  if (id == kNoOb) return;
   Obligation& ob = obligations_[id];
   remove_reader(ob);
   // Only a recomputation reads the open positions, and a settled record is
@@ -252,7 +284,6 @@ void ObligationGraph::erase_from(std::vector<ObId>& v, ObId id) {
 }
 
 void ObligationGraph::begin_recompute(ObId self) {
-  if (self == kNoOb) return;
   Obligation& ob = obligations_[self];
   if (ob.deps.empty()) return;
   // Phase 1: compact the dependency list (a settled child can never dirty
@@ -278,7 +309,6 @@ void ObligationGraph::begin_recompute(ObId self) {
 }
 
 void ObligationGraph::mark_root(ObId id) {
-  if (id == kNoOb) return;
   Obligation& ob = obligations_[id];
   if (ob.is_root) return;
   ob.is_root = true;
@@ -413,6 +443,7 @@ void ObligationGraph::reset() {
   free_list_.clear();
   free_pending_.clear();
   walk_stack_.clear();
+  spans_.clear();
   freed_count_ = 0;
   last_gc_live_ = 0;
   last_dirtied_ = 0;
@@ -435,6 +466,11 @@ std::size_t ObligationGraph::bytes() const {
   // needs a monotone, same-order figure.
   b += index_.size() * (sizeof(Key) + sizeof(ObId) + 2 * sizeof(void*));
   b += edge_set_.size() * (sizeof(std::uint64_t) + 2 * sizeof(void*));
+  // Span table: one tree node (three links and a colour word) per span.
+  for (const auto& [span, id] : spans_) {
+    b += sizeof(span) + sizeof(id) + 4 * sizeof(void*) +
+         span.capacity() * sizeof(std::pair<std::uint32_t, std::int64_t>);
+  }
   return b;
 }
 

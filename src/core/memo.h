@@ -23,8 +23,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace il {
@@ -36,19 +38,20 @@ class EvalCache {
   /// What a key's node/interval meant when the entry was stored.
   enum class Op : std::uint8_t { Sat, FindFwd, FindBwd };
 
-  /// Meta-variable bindings a key can carry inline.  Keys are restricted to
-  /// the node's *free* metas before caching (see core/semantics.cpp), which
-  /// in practice is a handful; nodes observing more bindings than this are
-  /// evaluated uncached (counted in env_overflows()).
+  /// Meta-variable bindings a key carries inline.  Keys are restricted to
+  /// the node's *free* metas first (restrict_env_span), which in practice
+  /// leaves a handful.  An EvalCache query observing more bindings than
+  /// this is evaluated uncached (counted in env_overflows()); an obligation
+  /// key spills them into its graph's span table (ObligationGraph::Key).
   static constexpr std::size_t kMaxEnv = 4;
 
   struct Key {
     std::uint32_t node = 0;   ///< hash-cons node id (Formula or Term)
-    std::uint32_t trace = 0;  ///< Trace::id()
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
     Op op = Op::Sat;
     std::uint8_t n_env = 0;   ///< bindings in use
+    std::uint64_t trace = 0;  ///< Trace::id()
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
     std::uint32_t metas[kMaxEnv] = {0, 0, 0, 0};   ///< sorted meta ids
     std::int64_t values[kMaxEnv] = {0, 0, 0, 0};
 
@@ -130,13 +133,16 @@ class EvalCache {
   std::size_t env_overflows_ = 0;
 };
 
+// Slot tables hold millions of keys: the 64-bit trace id sits in the word
+// after node/op/n_env, so a key stays 80 bytes.
+static_assert(sizeof(EvalCache::Key) == 80, "EvalCache::Key is packed into 80 bytes");
+
 /// Restricts the ambient bindings to a node's free metas (both sides sorted
 /// by id: a linear merge) into an inline (meta, value) span of capacity
 /// EvalCache::kMaxEnv, so cache/obligation keys are shared across bindings
 /// the node never reads.  Returns false when the observable bindings
-/// overflow the span, in which case the caller evaluates unkeyed.  Shared by
-/// the memoizing evaluator (core/semantics.cpp) and the incremental
-/// evaluator (core/incremental.cpp).
+/// overflow the span: the memoizing evaluator (core/semantics.cpp) then
+/// evaluates uncached, and ObligationGraph::key() spills them.
 bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
                        std::uint8_t& n_env, std::uint32_t* metas_out,
                        std::int64_t* values_out);
@@ -158,7 +164,8 @@ bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
 ///   - per-kind resume state, so re-settlement is a delta pass instead of a
 ///     re-evaluation: [] / <> keep a scan frontier plus the list of start
 ///     positions whose body verdict is still open; event searches keep the
-///     rolling changeset probe at the frontier,
+///     end of their settled prefix (plus the rolling changeset probe there,
+///     forward, or the best edge inside it, backward),
 ///   - explicit dependency edges to the child obligations, reverse-indexed
 ///     for invalidation.
 ///
@@ -209,20 +216,27 @@ class ObligationGraph {
     StarsBwd,  ///< star_requirements(node, <lo,inf>, Backward)
   };
 
-  /// Obligation identity.  The interval is always <lo, inf>: queries with a
-  /// finite right end are settled by construction and live in the monitor's
-  /// settled EvalCache instead (the trace never changes below its horizon).
+  /// Obligation identity, built by key().  The interval is always
+  /// <lo, inf>: queries with a finite right end are settled by construction
+  /// and live in the monitor's settled EvalCache instead (the trace never
+  /// changes below its horizon).  Up to EvalCache::kMaxEnv observed bindings
+  /// sit inline in metas/values.  A longer span is interned into the graph's
+  /// span table: n_env then exceeds kMaxEnv, metas stay zero and values[0]
+  /// holds the span's table id.  Every open-world query therefore has a key.
   struct Key {
     std::uint32_t node = 0;  ///< hash-cons node id (Formula or Term)
     std::uint64_t lo = 0;
     Op op = Op::Sat;
-    std::uint8_t n_env = 0;
+    std::uint8_t n_env = 0;  ///< observed bindings (> kMaxEnv: spilled)
     std::uint32_t metas[EvalCache::kMaxEnv] = {0, 0, 0, 0};
     std::int64_t values[EvalCache::kMaxEnv] = {0, 0, 0, 0};
 
+    /// Entries of metas/values in use.
+    std::size_t inline_len() const { return n_env > EvalCache::kMaxEnv ? 1 : n_env; }
+
     bool operator==(const Key& o) const {
       if (node != o.node || lo != o.lo || op != o.op || n_env != o.n_env) return false;
-      for (std::uint8_t i = 0; i < n_env; ++i) {
+      for (std::size_t i = 0; i < inline_len(); ++i) {
         if (metas[i] != o.metas[i] || values[i] != o.values[i]) return false;
       }
       return true;
@@ -247,12 +261,11 @@ class ObligationGraph {
     std::uint64_t horizon = 0;
 
     // Resume state for the delta pass (meaning depends on the node kind):
-    std::uint64_t frontier = 0;     ///< next start position to scan ([], <>, event searches)
-    std::uint64_t scanned_top = 0;  ///< highest position scanned (bwd search)
-    bool have_prev = false;         ///< rolling probe below seeded?
-    bool prev = false;              ///< changeset probe value at frontier-1
-    /// Kind-specific auxiliary interval: for a sensitive backward event
-    /// search, the best (maximum) rising edge inside the settled prefix;
+    std::uint64_t frontier = 0;  ///< next start position to scan ([], <>, event searches)
+    bool have_prev = false;      ///< rolling probe below seeded? (forward search)
+    bool prev = false;           ///< changeset probe value at frontier-1
+    /// Kind-specific auxiliary interval: for a backward event search, the
+    /// best (maximum) rising edge inside the settled prefix;
     /// for an interval-formula obligation, the lo of the body obligation
     /// the last recomputation attached (so a relocating find can unlink the
     /// superseded record).  Valid only while have_aux.
@@ -288,6 +301,12 @@ class ObligationGraph {
   /// verdicts.
   void begin_epoch();
 
+  /// The key of the query (node, op, <lo, inf>) under `env` restricted to
+  /// the node's free `metas`.  Bindings beyond EvalCache::kMaxEnv are
+  /// interned into the span table, which lives until reset().
+  Key key(std::uint32_t node, Op op, std::uint64_t lo, const std::vector<std::uint32_t>& metas,
+          const Env& env);
+
   /// The obligation for `key`, created open+dirty on first sight (freed
   /// slots recycled first).
   ObId obtain(const Key& key);
@@ -298,10 +317,10 @@ class ObligationGraph {
   /// (idempotent per edge).
   void add_dep(ObId parent, ObId child);
 
-  /// Records "recomputing `attach` read the stuttering horizon": appends it
-  /// to the open-reader list (once — its window [attach.key.lo, inf)
-  /// already contains every later horizon).  No-op on kNoOb.
-  void touch_horizon(ObId attach);
+  /// Records "recomputing `id` read the stuttering horizon": appends it to
+  /// the open-reader list (once — its window [id.key.lo, inf) already
+  /// contains every later horizon).
+  void touch_horizon(ObId id);
 
   /// Tells the graph `id` just settled: it leaves the open-reader list — a
   /// settled record can never be touched by an epoch again —
@@ -353,15 +372,16 @@ class ObligationGraph {
   /// freed.  Call at an epoch boundary only.
   std::size_t gc_sweep();
 
-  /// Drops every obligation and edge (counters keep accumulating); for
-  /// owners whose trace was rewritten rather than appended to.
+  /// Drops every obligation, edge and interned span (counters keep
+  /// accumulating); for owners whose trace was rewritten rather than
+  /// appended to.
   void reset();
 
   /// Estimated bytes resident in the store (gauge): the obligation and
   /// reverse-index vectors at capacity, per-obligation resume state
   /// (open-position and dependency lists), the open-reader list,
-  /// the GC bookkeeping (root/free lists, walk scratch), and the index/edge
-  /// hash tables at their per-entry footprint.  O(n); meant for budget
+  /// the GC bookkeeping (root/free lists, walk scratch), the index/edge
+  /// hash tables at their per-entry footprint, and the span table.  O(n); meant for budget
   /// checks at epoch boundaries, not per-query accounting.
   std::size_t bytes() const;
 
@@ -376,16 +396,12 @@ class ObligationGraph {
   std::size_t recomputes() const { return recomputes_; }
   std::size_t settled_hits() const { return settled_hits_; }
   std::size_t fresh_hits() const { return fresh_hits_; }
-  /// Open-world queries whose observable bindings overflowed the inline key
-  /// capacity and were evaluated without an obligation record.
-  std::size_t env_overflows() const { return env_overflows_; }
+  /// Binding spans interned by key() (gauge).
+  std::size_t spans() const { return spans_.size(); }
 
-  // Reader-list accounting.
+  // Reader-list accounting.  An epoch walks the list once, so the walks are
+  // epoch() and the readers they visit are touched_total().
   std::size_t index_nodes() const { return readers_.size(); }  ///< readers registered (gauge)
-  std::size_t index_stabs() const { return epoch_; }           ///< list walks, lifetime
-  /// Readers visited by the walks: with a flat list every visited reader is
-  /// a touched one, so this equals touched_total().
-  std::size_t index_visited() const { return touched_total_; }
   std::size_t touched_total() const { return touched_total_; }  ///< seeds, lifetime
   std::size_t last_touched() const { return last_touched_; }  ///< by last begin_epoch()
 
@@ -398,12 +414,10 @@ class ObligationGraph {
 
   /// Called by the evaluator: an obligation was re-settled this epoch / was
   /// answered from its pinned result / was answered because it was already
-  /// fresh (recomputed earlier in the same epoch) / a query's bindings
-  /// overflowed the inline key span.
+  /// fresh (recomputed earlier in the same epoch).
   void note_recompute() { ++recomputes_; }
   void note_settled_hit() { ++settled_hits_; }
   void note_fresh_hit() { ++fresh_hits_; }
-  void note_env_overflow() { ++env_overflows_; }
 
  private:
   struct KeyHash {
@@ -433,6 +447,8 @@ class ObligationGraph {
   std::vector<ObId> free_pending_; ///< freed this epoch, reusable next epoch
   std::vector<ObId> walk_stack_;   ///< scratch: dirty-closure stack
   std::vector<ObId> prune_scratch_;  ///< scratch: begin_recompute's pruned set
+  /// Spilled binding spans (sorted (meta, value) runs) -> table id.
+  std::map<std::vector<std::pair<std::uint32_t, std::int64_t>>, std::int64_t> spans_;
   std::size_t freed_count_ = 0;    ///< free_list_ + free_pending_
   std::uint32_t gc_stamp_ = 0;
   std::size_t last_gc_live_ = 0;   ///< live records after the last sweep
@@ -443,7 +459,6 @@ class ObligationGraph {
   std::size_t recomputes_ = 0;
   std::size_t settled_hits_ = 0;
   std::size_t fresh_hits_ = 0;
-  std::size_t env_overflows_ = 0;
   std::size_t touched_total_ = 0;
   std::size_t last_touched_ = 0;
   std::size_t gc_sweeps_ = 0;

@@ -21,13 +21,13 @@ Evaluator::Evaluator(const Trace& trace, EvalCache* cache) : trace_(trace), cach
   IL_REQUIRE(!trace.empty(), "evaluation requires a non-empty trace");
 }
 
-Evaluator::Evaluator(const Trace& trace, EvalCache* cache, std::uint32_t cache_key_id)
+Evaluator::Evaluator(const Trace& trace, EvalCache* cache, std::uint64_t cache_key_id)
     : trace_(trace), cache_(cache), key_override_(cache_key_id) {
   IL_REQUIRE(!trace.empty(), "evaluation requires a non-empty trace");
   IL_REQUIRE(cache_key_id != 0, "0 is reserved for 'use the live trace id'");
 }
 
-std::uint32_t Evaluator::cache_key_id() const {
+std::uint64_t Evaluator::cache_key_id() const {
   return key_override_ != 0 ? key_override_ : trace_.id();
 }
 

@@ -86,7 +86,7 @@ class Evaluator {
   /// incremental monitor keys its settled-prefix cache by the trace's
   /// *stable* lineage id, so entries survive appends (which only ever grow
   /// the suffix) instead of being orphaned by every identity bump.
-  Evaluator(const Trace& trace, EvalCache* cache, std::uint32_t cache_key_id);
+  Evaluator(const Trace& trace, EvalCache* cache, std::uint64_t cache_key_id);
 
   /// s<i,j> |= a.  The interval must be non-null.
   bool sat(const Formula& formula, Interval iv, const Env& env) const;
@@ -117,11 +117,11 @@ class Evaluator {
 
   /// The trace identity for cache keys: the override when set, else the
   /// live trace id (which mutation refreshes).
-  std::uint32_t cache_key_id() const;
+  std::uint64_t cache_key_id() const;
 
   const Trace& trace_;
   EvalCache* cache_ = nullptr;
-  std::uint32_t key_override_ = 0;  ///< 0: use trace_.id() (ids start at 1)
+  std::uint64_t key_override_ = 0;  ///< 0: use trace_.id() (ids start at 1)
 };
 
 /// Top-level satisfaction: the whole computation satisfies the formula

@@ -147,6 +147,7 @@ struct StreamStats {
   std::size_t obligation_index_stabs = 0;    ///< reader-list walks (epochs), lifetime
   /// Readers visited by the walks, lifetime.  The list is flat, so every
   /// visited reader is a touched one: this equals obligation_index_touched.
+  /// dump() shows neither this nor stabs (each monitor's epoch count).
   std::size_t obligation_index_visited = 0;
   std::size_t obligation_index_touched = 0;  ///< obligations seeded by the walks, lifetime
   std::size_t gc_sweeps = 0;       ///< mark-and-sweep passes, lifetime

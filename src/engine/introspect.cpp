@@ -36,8 +36,6 @@ void dump_counters(KvWriter kv, const StreamStats& stats) {
   ob.emit("recomputed", stats.obligation_recomputed);
   KvWriter idx = kv.scoped("obligation_index");
   idx.emit("nodes", stats.obligation_index_nodes);
-  idx.emit("stabs", stats.obligation_index_stabs);
-  idx.emit("visited", stats.obligation_index_visited);
   idx.emit("touched", stats.obligation_index_touched);
   KvWriter gc = kv.scoped("gc");
   gc.emit("sweeps", stats.gc_sweeps);

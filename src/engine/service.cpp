@@ -738,7 +738,7 @@ StreamStats MonitorService::shard_stats_locked(const Shard& sh) const {
     out.obligation_dirtied += g.total_dirtied();
     out.obligation_recomputed += g.recomputes();
     out.obligation_index_nodes += g.index_nodes();
-    out.obligation_index_stabs += g.index_stabs();
+    out.obligation_index_stabs += g.epoch();
     out.obligation_index_visited += g.touched_total();
     out.obligation_index_touched += g.touched_total();
     out.gc_sweeps += g.gc_sweeps();

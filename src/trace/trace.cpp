@@ -6,8 +6,8 @@
 
 namespace il {
 
-std::uint32_t Trace::next_id() {
-  static std::atomic<std::uint32_t> counter{1};
+std::uint64_t Trace::next_id() {
+  static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 

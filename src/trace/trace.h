@@ -54,13 +54,13 @@ class Trace {
 
   /// Identity for memoization keys.  Unique per distinct state sequence the
   /// process has observed: fresh per construction/copy, refreshed on push().
-  std::uint32_t id() const { return id_; }
+  std::uint64_t id() const { return id_; }
 
   /// Lineage identity: fresh per construction/copy, *not* refreshed by
   /// push() or the mutable-state accessors.  Two snapshots with the same
   /// stable_id() are the same growing sequence; combine with appends() and
   /// rewrites() to learn how its content evolved in between.
-  std::uint32_t stable_id() const { return stable_id_; }
+  std::uint64_t stable_id() const { return stable_id_; }
 
   /// Number of push() calls since construction/copy.  A consumer that saw
   /// (stable_id, appends, rewrites) == (s, a, r) and now sees (s, a', r)
@@ -114,11 +114,11 @@ class Trace {
   const std::vector<State>& states() const { return states_; }
 
  private:
-  static std::uint32_t next_id();
+  static std::uint64_t next_id();  ///< 64-bit: never wraps back to 0 in practice
 
   std::vector<State> states_;
-  std::uint32_t id_ = 0;
-  std::uint32_t stable_id_ = 0;
+  std::uint64_t id_ = 0;
+  std::uint64_t stable_id_ = 0;
   std::uint64_t appends_ = 0;
   std::uint64_t rewrites_ = 0;
 };

@@ -251,7 +251,7 @@ TEST(Trace, IdChangesOnMutationAndCopy) {
   tb.set("x", 1);
   tb.commit();
   Trace t1 = tb.take();
-  const std::uint32_t id1 = t1.id();
+  const std::uint64_t id1 = t1.id();
 
   Trace copy = t1;  // copies may diverge: fresh identity
   EXPECT_NE(copy.id(), id1);
@@ -262,7 +262,7 @@ TEST(Trace, IdChangesOnMutationAndCopy) {
   t1.push(s);  // mutation refreshes the id so stale cache entries cannot hit
   EXPECT_NE(t1.id(), id1);
 
-  const std::uint32_t before_move = t1.id();
+  const std::uint64_t before_move = t1.id();
   Trace moved = std::move(t1);
   EXPECT_EQ(moved.id(), before_move);  // moves keep identity: same trace
 }

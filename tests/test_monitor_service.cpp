@@ -298,8 +298,6 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
     expected += p + ".obligation.dirtied 0\n";
     expected += p + ".obligation.recomputed 0\n";
     expected += p + ".obligation_index.nodes 0\n";
-    expected += p + ".obligation_index.stabs 0\n";
-    expected += p + ".obligation_index.visited 0\n";
     expected += p + ".obligation_index.touched 0\n";
     expected += p + ".gc.sweeps 0\n";
     expected += p + ".gc.marked 0\n";
@@ -350,7 +348,7 @@ TEST(MonitorService, DumpAfterTrafficKeepsTheStableFormat) {
   for (const char* shard : {"shard0", "shard1"}) {
     for (const char* group : {".engine.monitors", ".memo.hits", ".memo.entries",
                               ".obligation.entries", ".obligation.recomputed",
-                              ".obligation_index.stabs", ".gc.sweeps"}) {
+                              ".obligation_index.touched", ".gc.sweeps"}) {
       EXPECT_TRUE(keys.count(std::string(shard) + group) == 1)
           << "missing " << shard << group;
     }

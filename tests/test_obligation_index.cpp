@@ -159,7 +159,7 @@ TEST(ObligationIndex, IndexedMatchesUncachedAtEveryPrefix) {
       ASSERT_EQ(got.ok, oracle[k].ok) << "case " << c << " prefix " << k;
       ASSERT_EQ(got.failed, oracle[k].failed) << "case " << c << " prefix " << k;
     }
-    EXPECT_GT(m.obligations().index_stabs(), 0u) << "case " << c;
+    EXPECT_GT(m.obligations().epoch(), 0u) << "case " << c;
     failing_prefixes += count_failing(oracle);
   }
   EXPECT_GT(failing_prefixes, 0u);  // the corpus must exercise failures
@@ -186,15 +186,13 @@ TEST(ObligationIndex, EpochTouchesAHandfulOfRecords) {
     peak = std::max(peak, m.obligations().size());
   }
   const ObligationGraph& g = m.obligations();
-  ASSERT_GT(g.index_stabs(), 0u);
-  const std::size_t avg_touched = g.touched_total() / g.index_stabs();
+  ASSERT_GT(g.epoch(), 0u);
+  const std::size_t avg_touched = g.touched_total() / g.epoch();
   EXPECT_LE(avg_touched, 8u);  // measured 3
   // Reclamation keeps the graph itself small: the walk could not be
   // selective if every record it ever made stayed resident.
   EXPECT_LE(steady, 64u);          // measured 5
   EXPECT_LE(peak, kPulse + 8);     // measured 67, at every pulse
-  // The list is flat: every reader an epoch visits is one it touches.
-  EXPECT_EQ(g.index_visited(), g.touched_total());
 }
 
 /// The reader list at the graph level: a record joins once when it reads
@@ -247,9 +245,8 @@ TEST(ObligationIndex, ReaderListTracksOpenReaders) {
   EXPECT_EQ(g.index_nodes(), 0u);
   g.begin_epoch();
   EXPECT_EQ(g.last_dirtied(), 0u);
-  EXPECT_EQ(g.index_visited(), g.touched_total());
   EXPECT_EQ(g.touched_total(), 3u);
-  EXPECT_EQ(g.index_stabs(), 3u);
+  EXPECT_EQ(g.epoch(), 3u);
 }
 
 /// A record that settles while its open-position list is non-empty (a []
@@ -283,6 +280,42 @@ TEST(ObligationIndex, FootprintAccountsForIndexNodes) {
   EXPECT_GT(g.index_nodes(), 0u);
   EXPECT_GE(g.bytes(), g.index_nodes() * sizeof(ObligationGraph::ObId));
   EXPECT_GE(m.footprint_bytes(), g.bytes() + m.cache().bytes());
+}
+
+/// Keys never overflow: a query observing more bindings than a key holds
+/// inline interns them into the graph's span table and keys by the table
+/// id, so equal bindings share one record and different ones get their
+/// own.  Up to EvalCache::kMaxEnv bindings stay inline.  reset() drops the
+/// table, and bytes() counts it.
+TEST(ObligationIndex, WideBindingsSpillIntoTheSpanTable) {
+  using Op = ObligationGraph::Op;
+  ObligationGraph g;
+  Env env{{"w1", 1}, {"w2", 2}, {"w3", 3}, {"w4", 4}, {"w5", 5}};
+  std::vector<std::uint32_t> metas;
+  for (const Env::Binding& b : env.bindings()) metas.push_back(b.first);
+
+  const ObligationGraph::Key wide = g.key(7, Op::Sat, 0, metas, env);
+  EXPECT_GT(wide.n_env, EvalCache::kMaxEnv);
+  EXPECT_EQ(g.spans(), 1u);
+  EXPECT_TRUE(g.key(7, Op::Sat, 0, metas, env) == wide);
+  EXPECT_EQ(g.spans(), 1u);
+  Env other = env;
+  other.bind(metas.back(), 6);
+  const ObligationGraph::Key wide2 = g.key(7, Op::Sat, 0, metas, other);
+  EXPECT_FALSE(wide2 == wide);
+  EXPECT_EQ(g.spans(), 2u);
+  EXPECT_NE(g.obtain(wide), g.obtain(wide2));
+  EXPECT_EQ(g.obtain(g.key(7, Op::Sat, 0, metas, env)), g.obtain(wide));
+
+  metas.pop_back();  // four observed bindings fit inline
+  const ObligationGraph::Key narrow = g.key(7, Op::Sat, 0, metas, env);
+  EXPECT_EQ(narrow.n_env, EvalCache::kMaxEnv);
+  EXPECT_EQ(g.spans(), 2u);
+
+  const std::size_t with_spans = g.bytes();
+  g.reset();
+  EXPECT_EQ(g.spans(), 0u);
+  EXPECT_LT(g.bytes(), with_spans);
 }
 
 /// A seeded randomized soak interleaving appends with forced GC sweeps,

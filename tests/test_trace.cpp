@@ -1,6 +1,10 @@
 // Unit tests for states, traces, stuttering extension, and TraceBuilder.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
+#include "core/memo.h"
 #include "trace/trace.h"
 
 namespace il {
@@ -89,8 +93,8 @@ TEST(Trace, AppendDeltaNotification) {
   // The append-delta view: push() ticks appends() under an unchanged
   // stable_id(), while the memoization identity id() still refreshes.
   Trace tr;
-  const std::uint32_t lineage = tr.stable_id();
-  const std::uint32_t id0 = tr.id();
+  const std::uint64_t lineage = tr.stable_id();
+  const std::uint64_t id0 = tr.id();
   EXPECT_EQ(tr.appends(), 0u);
   EXPECT_EQ(tr.rewrites(), 0u);
 
@@ -120,6 +124,18 @@ TEST(Trace, AppendDeltaNotification) {
   EXPECT_EQ(moved.stable_id(), lineage);
   EXPECT_EQ(moved.appends(), 2u);
   EXPECT_EQ(moved.rewrites(), 2u);
+}
+
+TEST(Trace, IdentitiesAreSixtyFourBit) {
+  // Every push draws a fresh process-wide id: a 32-bit counter wraps to 0
+  // (the reserved "no override" value) and aliases cache keys after 2^32
+  // appends.  The ids, and the cache key field that carries them, are
+  // 64-bit.
+  Trace tr;
+  EXPECT_TRUE((std::is_same_v<decltype(tr.id()), std::uint64_t>));
+  EXPECT_TRUE((std::is_same_v<decltype(tr.stable_id()), std::uint64_t>));
+  EXPECT_TRUE((std::is_same_v<decltype(EvalCache::Key::trace), std::uint64_t>));
+  EXPECT_EQ(sizeof(EvalCache::Key), 80u);
 }
 
 }  // namespace
