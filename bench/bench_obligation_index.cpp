@@ -56,7 +56,6 @@ void steady_state_append(benchmark::State& state, const Spec& spec) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBlock = 16;
   Monitor m(spec);
-  m.set_gc_fraction(0.0);  // measure the invalidation pass, not the sweeper
   m.reserve(n + kBlock * (state.max_iterations + 1));
   std::size_t k = 0;
   for (; k < n; ++k) m.append(pulse_state(k));

@@ -19,8 +19,13 @@
 // mutex state (absent keys read 0) and throws from the unbound meta exactly
 // when the setup feeds one boom=1 state.
 //
-// Timed by the wall clock (UseRealTime), like bench_service_batch_ingest:
-// the CI gate divides one by the other, so both must read the same clock.
+// Timed by the wall clock (UseRealTime) over a pinned iteration count
+// (kIngestIterations), like bench_service_batch_ingest: the CI gate divides
+// one by the other, so both must read the same clock over the same number
+// of bursts.  Every iteration appends to the same resident monitors, so
+// per-iteration cost depends on how many came before; a pinned count keeps
+// the two runs comparable, and several iterations average out one slow
+// epoch.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -36,6 +41,7 @@ using namespace il;
 
 constexpr std::size_t kBlock = 32;  ///< timed states per iteration
 constexpr std::size_t kFleet = 1000;
+constexpr int kIngestIterations = 8;  ///< same as bench_service_batch_ingest
 
 /// Same monitored spec as bench_service_batch_ingest, so the V=0 run is
 /// comparable to bench_service_batch_ingest/1000/32 in the same JSON drop.
@@ -103,6 +109,11 @@ void bench_service_fault_ingest(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(bench_service_fault_ingest)->Arg(0)->Arg(10)->Arg(100)->UseRealTime();
+BENCHMARK(bench_service_fault_ingest)
+    ->Arg(0)
+    ->Arg(10)
+    ->Arg(100)
+    ->Iterations(kIngestIterations)
+    ->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -155,8 +155,8 @@ IncrementalEvaluator::Val IncrementalEvaluator::sat_compute(const Formula& f,
       const Found fnd = find_inc(*f.term(), iv, Dir::Forward, env, self);
       // Orphan fix: when the find relocates, the body obligation the
       // previous recomputation attached (recorded in aux_lo) is superseded —
-      // unlink it now so the record is reclaimed instead of lingering until
-      // a sweep.  Only open-ended, suffix-sensitive bodies are
+      // unlink it now so the record is reclaimed at the end of the pass
+      // instead of lingering.  Only open-ended, suffix-sensitive bodies are
       // obligation-keyed at all (everything else went to the settled cache),
       // so only those are tracked.
       const bool body_open =

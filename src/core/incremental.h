@@ -63,9 +63,10 @@ namespace il {
 class IncrementalEvaluator {
  public:
   /// `graph` and `settled_cache` are borrowed and must outlive the
-  /// evaluator.  Cache keys use trace.stable_id(): the owner must reset()
-  /// both stores if the trace is ever rewritten in place (see
-  /// Trace::rewrites()).
+  /// evaluator.  Cache keys use trace.stable_id(), so the trace may only
+  /// grow while the stores are in use: a state rewritten in place would
+  /// leave stale results behind (the monitor owns its trace and only
+  /// appends to it).
   ///
   /// Evaluates as if the trace ended at index `horizon` (inclusive), which
   /// must be <= trace.last_index(); pass trace.last_index() for the whole

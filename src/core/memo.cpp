@@ -106,11 +106,6 @@ void EvalCache::grow() {
   }
 }
 
-void EvalCache::evict_entries() {
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  count_ = 0;
-}
-
 void EvalCache::clear() {
   slots_.clear();
   slots_.shrink_to_fit();
@@ -152,38 +147,26 @@ std::size_t ObligationGraph::KeyHash::operator()(const Key& k) const {
 
 void ObligationGraph::seed_and_close(std::vector<ObId>& stack) {
   // Change propagation: everything the seed set can reach through the
-  // reverse-dependency index must re-settle; settled obligations are
-  // firewalls (their result is pinned, so nothing changes through them).
-  // Settlement is permanent, so settled parents are compacted out of each
-  // reverse list as the closure passes — the pass stays proportional to the
-  // *open* frontier, not to every obligation the run has ever settled.
+  // reverse-dependency index must re-settle.  Only open records hold edges
+  // (on_settle drops a settling record's, free_record a freed one's), so
+  // settled obligations are firewalls by construction: the closure never
+  // reaches them, and stays proportional to the open frontier.
   while (!stack.empty()) {
     const ObId child = stack.back();
     stack.pop_back();
-    std::vector<ObId>& parents = reverse_[child];
-    std::size_t w = 0;
-    for (const ObId parent : parents) {
+    for (const ObId parent : reverse_[child]) {
       Obligation& ob = obligations_[parent];
-      if (ob.settled || ob.freed) continue;  // drop the edge: it can never matter again
-      parents[w++] = parent;
       if (ob.dirty) continue;
       ob.dirty = true;
       ++last_dirtied_;
       ++total_dirtied_;
       stack.push_back(parent);
     }
-    parents.resize(w);
   }
 }
 
 void ObligationGraph::begin_epoch() {
   ++epoch_;
-  // Slots freed during the previous epoch become reusable only now: any
-  // ObId an in-flight evaluation was still holding has gone cold.
-  if (!free_pending_.empty()) {
-    free_list_.insert(free_list_.end(), free_pending_.begin(), free_pending_.end());
-    free_pending_.clear();
-  }
   last_dirtied_ = 0;
   walk_stack_.clear();
   // Every open reader's window [lo, inf) contains the new horizon, so the
@@ -231,7 +214,6 @@ ObligationGraph::ObId ObligationGraph::obtain(const Key& key) {
   if (!free_list_.empty()) {
     id = free_list_.back();
     free_list_.pop_back();
-    --freed_count_;
     Obligation& ob = obligations_[id];
     ob = Obligation{};
     ob.key = key;
@@ -267,10 +249,10 @@ void ObligationGraph::remove_reader(Obligation& ob) {
 void ObligationGraph::on_settle(ObId id) {
   Obligation& ob = obligations_[id];
   remove_reader(ob);
-  // Only a recomputation reads the open positions, and a settled record is
-  // never recomputed.  Nothing else would reclaim them while the record
-  // stays resident: GC never descends into it, and roots are never freed.
+  // Only a recomputation reads the open positions and the children, and a
+  // settled record is never recomputed.
   std::vector<std::uint64_t>().swap(ob.open_positions);
+  drop_deps(id);
 }
 
 void ObligationGraph::erase_from(std::vector<ObId>& v, ObId id) {
@@ -283,29 +265,32 @@ void ObligationGraph::erase_from(std::vector<ObId>& v, ObId id) {
   }
 }
 
+void ObligationGraph::unlink_edge(ObId parent, ObId child) {
+  edge_set_.erase(pack_edge(parent, child));
+  erase_from(reverse_[child], parent);
+  candidates_.push_back(child);
+}
+
+void ObligationGraph::drop_deps(ObId id) {
+  std::vector<ObId> kids;
+  kids.swap(obligations_[id].deps);
+  for (const ObId d : kids) unlink_edge(id, d);
+}
+
 void ObligationGraph::begin_recompute(ObId self) {
-  Obligation& ob = obligations_[self];
-  if (ob.deps.empty()) return;
-  // Phase 1: compact the dependency list (a settled child can never dirty
-  // this record; the edge is re-added through add_dep if the recomputation
-  // re-reads the child).
-  prune_scratch_.clear();
+  // Compact the dependency list: a settled child can never dirty this
+  // record, and the edge is re-added through add_dep if the recomputation
+  // re-reads the child.
+  std::vector<ObId>& deps = obligations_[self].deps;
   std::size_t w = 0;
-  for (const ObId d : ob.deps) {
-    if (!obligations_[d].freed && obligations_[d].settled) {
-      edge_set_.erase(pack_edge(self, d));
-      erase_from(reverse_[d], self);
-      prune_scratch_.push_back(d);
+  for (const ObId d : deps) {
+    if (obligations_[d].settled) {
+      unlink_edge(self, d);
       continue;
     }
-    ob.deps[w++] = d;
+    deps[w++] = d;
   }
-  ob.deps.resize(w);
-  // Phase 2 (after the list is compacted, so cascades cannot touch it): a
-  // pruned child left with no other parents is unreachable — free it now
-  // instead of waiting for a sweep.  Any record still read from here kept
-  // its edge in phase 1 and therefore has a non-empty reverse list.
-  for (const ObId d : prune_scratch_) maybe_cascade_free(d);
+  deps.resize(w);
 }
 
 void ObligationGraph::mark_root(ObId id) {
@@ -317,136 +302,53 @@ void ObligationGraph::mark_root(ObId id) {
 
 void ObligationGraph::free_record(ObId id) {
   Obligation& ob = obligations_[id];
-  IL_CHECK(!ob.freed && !ob.is_root);
+  IL_CHECK(!ob.freed && !ob.is_root && reverse_[id].empty());
   // Account what the allocator gets back (the slot itself stays resident,
-  // queued for reuse).
+  // on the free list).
   gc_freed_bytes_ += ob.open_positions.capacity() * sizeof(std::uint64_t) +
                      ob.deps.capacity() * sizeof(ObId) +
                      reverse_[id].capacity() * sizeof(ObId) +
                      (sizeof(Key) + sizeof(ObId) + 2 * sizeof(void*));
   remove_reader(ob);
   index_.erase(ob.key);
-  // Unlink both directions so no live record is left holding this id.
-  const std::vector<ObId> kids = std::move(ob.deps);
-  ob.deps = {};
-  for (const ObId d : kids) {
-    edge_set_.erase(pack_edge(id, d));
-    erase_from(reverse_[d], id);
-  }
-  for (const ObId p : reverse_[id]) {
-    edge_set_.erase(pack_edge(p, id));
-    if (!obligations_[p].freed) erase_from(obligations_[p].deps, id);
-  }
+  drop_deps(id);
   std::vector<ObId>().swap(reverse_[id]);
   std::vector<std::uint64_t>().swap(ob.open_positions);
   ob.freed = true;
   ob.settled = false;
-  free_pending_.push_back(id);
-  ++freed_count_;
+  free_list_.push_back(id);
   ++gc_freed_;
-  // A child left with no parents (and no root mark) is unreachable too.
-  for (const ObId d : kids) maybe_cascade_free(d);
-}
-
-void ObligationGraph::maybe_cascade_free(ObId id) {
-  if (id == kNoOb) return;
-  Obligation& ob = obligations_[id];
-  if (ob.freed || ob.is_root || !reverse_[id].empty()) return;
-  free_record(id);
 }
 
 void ObligationGraph::unlink_superseded(ObId parent, const Key& child_key) {
   const auto it = index_.find(child_key);
   if (it == index_.end()) return;
   const ObId child = it->second;
-  if (child == parent) return;
-  if (edge_set_.erase(pack_edge(parent, child)) != 0) {
-    erase_from(obligations_[parent].deps, child);
-    erase_from(reverse_[child], parent);
-    ++orphan_unlinks_;
-  }
-  maybe_cascade_free(child);
+  if (edge_set_.count(pack_edge(parent, child)) == 0) return;
+  erase_from(obligations_[parent].deps, child);
+  unlink_edge(parent, child);
+  ++orphan_unlinks_;
 }
 
-bool ObligationGraph::maybe_gc() {
-  if (gc_fraction_ <= 0.0) return false;
-  // Pacing floor: tiny graphs are never worth a sweep.
-  constexpr std::size_t kMinRecords = 256;
-  const std::size_t resident = size();
-  if (resident < kMinRecords) return false;
-  if (static_cast<double>(resident) <=
-      static_cast<double>(last_gc_live_) * (1.0 + gc_fraction_)) {
-    return false;
-  }
-  gc_sweep();
-  return true;
-}
-
-std::size_t ObligationGraph::gc_sweep() {
-  ++gc_sweeps_;
-  ++gc_stamp_;
-  // Mark: everything a root verdict can still read.  Dependency edges are
-  // traversed through open records only — a settled record never recomputes
-  // and so never re-reads its children; a settled child an open parent
-  // still reads is marked (kept) but not descended into.
-  std::size_t marked = 0;
-  walk_stack_.clear();
-  for (const ObId r : roots_) {
-    Obligation& ob = obligations_[r];
-    if (ob.freed || ob.gc_mark == gc_stamp_) continue;
-    ob.gc_mark = gc_stamp_;
-    ++marked;
-    walk_stack_.push_back(r);
-  }
-  while (!walk_stack_.empty()) {
-    const ObId id = walk_stack_.back();
-    walk_stack_.pop_back();
-    const Obligation& ob = obligations_[id];
-    if (ob.settled) continue;
-    for (const ObId d : ob.deps) {
-      Obligation& child = obligations_[d];
-      if (child.freed || child.gc_mark == gc_stamp_) continue;
-      child.gc_mark = gc_stamp_;
-      ++marked;
-      walk_stack_.push_back(d);
-    }
-  }
-  gc_marked_ += marked;
-  // Sweep: free every unmarked record.  free_record cascades, but only into
-  // records that are themselves unmarked (a marked record either carries
-  // the root flag or keeps an edge from a marked open parent).
+std::size_t ObligationGraph::collect() {
   const std::size_t freed_before = gc_freed_;
-  for (ObId id = 0; id < static_cast<ObId>(obligations_.size()); ++id) {
-    Obligation& ob = obligations_[id];
-    if (ob.freed || ob.gc_mark == gc_stamp_) continue;
-    free_record(id);
+  while (!candidates_.empty()) {
+    const ObId id = candidates_.back();
+    candidates_.pop_back();
+    const Obligation& ob = obligations_[id];
+    if (ob.freed || ob.is_root || !reverse_[id].empty()) continue;
+    free_record(id);  // pushes its children: the cascade runs through this loop
   }
-  last_gc_live_ = size();
-  return gc_freed_ - freed_before;
+  const std::size_t freed = gc_freed_ - freed_before;
+  if (freed != 0) ++gc_sweeps_;
+  return freed;
 }
 
 void ObligationGraph::add_dep(ObId parent, ObId child) {
   IL_CHECK(parent < obligations_.size() && child < reverse_.size());
-  const std::uint64_t packed = (static_cast<std::uint64_t>(parent) << 32) | child;
-  if (!edge_set_.insert(packed).second) return;
+  if (!edge_set_.insert(pack_edge(parent, child)).second) return;
   obligations_[parent].deps.push_back(child);
   reverse_[child].push_back(parent);
-}
-
-void ObligationGraph::reset() {
-  obligations_.clear();
-  index_.clear();
-  reverse_.clear();
-  edge_set_.clear();
-  readers_.clear();
-  roots_.clear();
-  free_list_.clear();
-  free_pending_.clear();
-  walk_stack_.clear();
-  spans_.clear();
-  freed_count_ = 0;
-  last_gc_live_ = 0;
-  last_dirtied_ = 0;
 }
 
 std::size_t ObligationGraph::bytes() const {
@@ -457,9 +359,9 @@ std::size_t ObligationGraph::bytes() const {
   }
   b += reverse_.capacity() * sizeof(std::vector<ObId>);
   for (const std::vector<ObId>& parents : reverse_) b += parents.capacity() * sizeof(ObId);
-  // The open-reader list plus the GC bookkeeping vectors.
+  // The open-reader list plus the reclaim bookkeeping vectors.
   b += (readers_.capacity() + roots_.capacity() + free_list_.capacity() +
-        free_pending_.capacity() + walk_stack_.capacity() + prune_scratch_.capacity()) *
+        candidates_.capacity() + walk_stack_.capacity()) *
        sizeof(ObId);
   // Hash tables estimated at one node/bucket overhead per entry: exact
   // allocator charges are implementation-specific, but a budget check only

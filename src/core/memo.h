@@ -88,13 +88,6 @@ class EvalCache {
 
   void clear();
 
-  /// Drops every stored entry but keeps the lifetime hit/miss/insert
-  /// counters and the allocated table.  For long-lived owners
-  /// (core/monitor.h): entries orphaned by a trace identity change are
-  /// unreachable forever, so they are evicted wholesale instead of
-  /// accumulating toward the capacity cap.
-  void evict_entries();
-
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
   std::size_t inserts() const { return inserts_; }
@@ -166,8 +159,8 @@ bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
 ///     positions whose body verdict is still open; event searches keep the
 ///     end of their settled prefix (plus the rolling changeset probe there,
 ///     forward, or the best edge inside it, backward),
-///   - explicit dependency edges to the child obligations, reverse-indexed
-///     for invalidation.
+///   - explicit dependency edges from OPEN obligations to the child
+///     obligations they read, reverse-indexed for invalidation.
 ///
 /// When a state is appended, begin_epoch() runs the change-propagation
 /// pass.  Every open obligation that reads the stuttering horizon is
@@ -183,21 +176,22 @@ bool restrict_env_span(const std::vector<std::uint32_t>& metas, const Env& env,
 /// the evaluator re-settles a dirty obligation the next time a root verdict
 /// needs it.
 ///
-/// Records are reclaimed two ways.  Directly: when an open event find
-/// relocates its interval, the evaluator unlinks the superseded body record
-/// (unlink_superseded), and a record left with no parents and no root mark
-/// is freed on the spot, cascading.  In bulk: a mark-and-sweep pass
-/// (gc_sweep) marks everything reachable from the root verdict obligations
-/// — traversing dependency edges through *open* records only, since a
-/// settled record never re-reads its children — and frees the rest:
-/// detached settled subtrees, leftover orphans, cycles.  Sweeps run on
-/// demand, automatically when the record count outgrows the last sweep's
-/// live set by Options::obligation_gc_fraction, and when a service monitor
-/// exceeds its byte budget.  A settled record that stays resident sheds its
-/// open-position list at once (on_settle): nothing reads resume state once
-/// the result is pinned.  Freed slots are recycled through a free list, but
-/// only from the *next* epoch on, so ObIds held by an in-flight evaluation
-/// stay inert.
+/// One rule reclaims records: a record stays resident while it is a root
+/// (queried directly by a verdict) or an open record reads it.  Edges are
+/// dropped as soon as no future recomputation can follow them — when the
+/// reading record settles (on_settle: a settled record never recomputes,
+/// so it never re-reads a child), when a recomputation starts and a child
+/// has settled since (begin_recompute), and when an open event find
+/// relocates and its previous body record is superseded
+/// (unlink_superseded).  Each dropped edge makes its child a candidate,
+/// and collect() — called once at the end of every verdict pass, when no
+/// evaluation holds an ObId — frees each candidate left with no parent and
+/// no root mark, cascading into the children it releases.  This reference
+/// count is complete: an edge always runs from a node to a strict subterm
+/// of it (the AST is hash-consed and finite), so the graph is acyclic and
+/// every record no root can reach loses its last parent eventually — there
+/// is nothing left for a tracing sweep to find.  Freed slots go straight
+/// onto a free list for reuse.
 ///
 /// Single-threaded by design: one graph belongs to one monitor over one
 /// trace (a MonitorService fleet keeps one graph per monitor; see
@@ -275,8 +269,7 @@ class ObligationGraph {
 
     // Lifecycle (maintained by the graph, read-only to the evaluator):
     bool freed = false;    ///< slot is on the free list awaiting reuse
-    bool is_root = false;  ///< queried directly by a verdict: a GC root
-    std::uint32_t gc_mark = 0;  ///< stamp of the last marking sweep that reached it
+    bool is_root = false;  ///< queried directly by a verdict: never freed
     /// Start positions in [lo, frontier) whose body verdict was still OPEN
     /// at the last recomputation — whatever its current sign.  For [] these
     /// are mostly true-but-open conjuncts, plus possibly the false-but-open
@@ -286,24 +279,23 @@ class ObligationGraph {
     std::vector<std::uint64_t> open_positions;
     /// Child obligations read by the recomputations so far.  An
     /// over-approximation is safe for invalidation; begin_recompute() drops
-    /// the edges to children that have settled, and freeing a child unlinks
-    /// its edge.
+    /// the edges to children that have settled, and on_settle() drops them
+    /// all, so a settled record has none.
     std::vector<ObId> deps;
   };
 
   /// Current epoch (== number of begin_epoch() calls).
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Starts a new epoch after the trace grew: bumps the clock, recycles
-  /// slots freed since the previous epoch, and runs the invalidation pass —
-  /// every open reader of the horizon seeds the reverse-dependency dirty
-  /// closure.  Call once per appended block, before re-reading root
+  /// Starts a new epoch after the trace grew: bumps the clock and runs the
+  /// invalidation pass — every open reader of the horizon seeds the
+  /// reverse-dependency dirty closure.  Call once per appended block, before re-reading root
   /// verdicts.
   void begin_epoch();
 
   /// The key of the query (node, op, <lo, inf>) under `env` restricted to
   /// the node's free `metas`.  Bindings beyond EvalCache::kMaxEnv are
-  /// interned into the span table, which lives until reset().
+  /// interned into the span table, which lives as long as the graph.
   Key key(std::uint32_t node, Op op, std::uint64_t lo, const std::vector<std::uint32_t>& metas,
           const Env& env);
 
@@ -323,71 +315,53 @@ class ObligationGraph {
   void touch_horizon(ObId id);
 
   /// Tells the graph `id` just settled: it leaves the open-reader list — a
-  /// settled record can never be touched by an epoch again —
-  /// and its open-position list is freed, since only a recomputation reads
-  /// it and settlement is permanent.
+  /// settled record can never be touched by an epoch again — and its
+  /// open-position list and outgoing edges are dropped, since only a
+  /// recomputation reads them and settlement is permanent.  The children
+  /// become candidates for collect().
   void on_settle(ObId id);
 
   /// Called by the evaluator as it starts recomputing `self`: drops the
   /// edges to children that have settled since (a settled child can never
   /// dirty anyone, and any child this recomputation actually re-reads
   /// re-registers through add_dep).  This is what bounds the dependency
-  /// lists of long-lived open obligations and detaches exhausted settled
-  /// subtrees for the sweep to collect.
+  /// lists of long-lived open obligations; the dropped children become
+  /// candidates for collect().
   void begin_recompute(ObId self);
 
-  /// Marks `id` as queried directly by a verdict: a GC root, never swept.
+  /// Marks `id` as queried directly by a verdict: a root, never freed.
   void mark_root(ObId id);
 
   /// The orphaned-obligation fix: when an open find relocates, the body
   /// record it previously attached (identified by `child_key`) is
-  /// superseded — its edge from `parent` is unlinked immediately, and if
-  /// that leaves the record unreachable (no parents, not a root) it is
-  /// freed on the spot, cascading into children left the same way.  The
-  /// sweep then only handles cycles and bulk detachment.
+  /// superseded — its edge from `parent` is unlinked immediately, and the
+  /// record becomes a candidate for collect().
   void unlink_superseded(ObId parent, const Key& child_key);
 
-  // -- mark-and-sweep GC ---------------------------------------------------
+  /// Frees every candidate left with no parent and no root mark; freeing a
+  /// record drops its own edges, so the collection cascades through the
+  /// children it releases.  Freed slots are reused by the next obtain().
+  /// Verdicts are unaffected: a freed record that is ever queried again is
+  /// recomputed from scratch.  Call only when no evaluation holds an ObId
+  /// (the monitor calls it at the end of every verdict pass).  Returns the
+  /// records freed.
+  std::size_t collect();
 
-  /// Automatic-sweep pacing: a sweep runs (from maybe_gc()) once the
-  /// resident record count exceeds the last sweep's live set by this
-  /// fraction — i.e. once the potential dead-record fraction, measured
-  /// against the last known live baseline, crosses the knob.  <= 0
-  /// disables automatic sweeps (explicit gc_sweep() still works).
-  void set_gc_fraction(double fraction) { gc_fraction_ = fraction; }
-  double gc_fraction() const { return gc_fraction_; }
-
-  /// Runs gc_sweep() if the pacing condition is met; call at an epoch
-  /// boundary only (no evaluation in flight).  Returns whether it swept.
-  bool maybe_gc();
-
-  /// Mark-and-sweep: marks everything reachable from the root obligations
-  /// (dependency edges are traversed through open records only — a settled
-  /// record never re-reads its children, so its subtree stays only if some
-  /// open parent still reads its crown) and frees every unmarked record:
-  /// index and reader-list entries dropped, edges purged from both
-  /// directions, resume state returned, slot queued for reuse at the next
-  /// epoch boundary.  Verdicts are unaffected: a freed record that is ever
-  /// queried again is simply recomputed from scratch.  Returns the records
-  /// freed.  Call at an epoch boundary only.
-  std::size_t gc_sweep();
-
-  /// Drops every obligation, edge and interned span (counters keep
-  /// accumulating); for owners whose trace was rewritten rather than
-  /// appended to.
-  void reset();
+  /// Records queried directly by a verdict (mark_root()), in marking order.
+  const std::vector<ObId>& roots() const { return roots_; }
 
   /// Estimated bytes resident in the store (gauge): the obligation and
   /// reverse-index vectors at capacity, per-obligation resume state
-  /// (open-position and dependency lists), the open-reader list,
-  /// the GC bookkeeping (root/free lists, walk scratch), the index/edge
-  /// hash tables at their per-entry footprint, and the span table.  O(n); meant for budget
-  /// checks at epoch boundaries, not per-query accounting.
+  /// (open-position and dependency lists), the open-reader list, the
+  /// reclaim bookkeeping (root, free and candidate lists, walk scratch),
+  /// the index/edge hash tables at their per-entry footprint, and the span
+  /// table.  O(n); meant for budget checks at epoch boundaries, not
+  /// per-query accounting.
   std::size_t bytes() const;
 
   // Accounting (lifetime counters unless noted).
   /// Resident records: slots minus freed-awaiting-reuse.
-  std::size_t size() const { return obligations_.size() - freed_count_; }
+  std::size_t size() const { return obligations_.size() - free_list_.size(); }
   std::size_t edges() const { return edge_set_.size(); }
   std::size_t settled_count() const;          ///< resident settled obligations
   std::size_t open_count() const;             ///< resident open obligations
@@ -405,10 +379,9 @@ class ObligationGraph {
   std::size_t touched_total() const { return touched_total_; }  ///< seeds, lifetime
   std::size_t last_touched() const { return last_touched_; }  ///< by last begin_epoch()
 
-  // GC accounting (lifetime counters).
-  std::size_t gc_sweeps() const { return gc_sweeps_; }
-  std::size_t gc_marked() const { return gc_marked_; }
-  std::size_t gc_freed() const { return gc_freed_; }  ///< sweeps + orphan cascades
+  // Reclaim accounting (lifetime counters).
+  std::size_t gc_sweeps() const { return gc_sweeps_; }  ///< collect() passes that freed
+  std::size_t gc_freed() const { return gc_freed_; }
   std::size_t gc_freed_bytes() const { return gc_freed_bytes_; }
   std::size_t orphan_unlinks() const { return orphan_unlinks_; }
 
@@ -428,12 +401,15 @@ class ObligationGraph {
     return (static_cast<std::uint64_t>(parent) << 32) | child;
   }
   void erase_from(std::vector<ObId>& v, ObId id);  ///< unordered erase-if-found
-  /// Frees `id`: unlinks every edge in both directions, drops the index and
-  /// reader-list entries, returns the resume state, and queues the slot
-  /// for reuse at the next epoch.  Cascades into children left with no
-  /// parents and no root mark.
+  /// Removes the edge parent -> child from the edge set and the child's
+  /// reverse list, and makes the child a candidate; the caller removes it
+  /// from the parent's dependency list.
+  void unlink_edge(ObId parent, ObId child);
+  void drop_deps(ObId id);  ///< unlinks and releases every outgoing edge of `id`
+  /// Frees parentless non-root `id`: drops its outgoing edges (its children
+  /// become candidates), the index and reader-list entries and the resume
+  /// state, and puts the slot on the free list.
   void free_record(ObId id);
-  void maybe_cascade_free(ObId id);
   void seed_and_close(std::vector<ObId>& stack);  ///< dirty closure over reverse_
   void remove_reader(Obligation& ob);  ///< swap-remove from readers_, if listed
 
@@ -442,17 +418,12 @@ class ObligationGraph {
   std::vector<std::vector<ObId>> reverse_;  ///< child -> parents
   std::unordered_set<std::uint64_t> edge_set_;  ///< packed parent<<32|child
   std::vector<ObId> readers_;      ///< open horizon-readers, unordered
-  std::vector<ObId> roots_;        ///< GC roots (is_root set)
-  std::vector<ObId> free_list_;    ///< freed slots, reusable now
-  std::vector<ObId> free_pending_; ///< freed this epoch, reusable next epoch
+  std::vector<ObId> roots_;        ///< is_root records
+  std::vector<ObId> free_list_;    ///< freed slots, reused by obtain()
+  std::vector<ObId> candidates_;   ///< lost an edge since the last collect()
   std::vector<ObId> walk_stack_;   ///< scratch: dirty-closure stack
-  std::vector<ObId> prune_scratch_;  ///< scratch: begin_recompute's pruned set
   /// Spilled binding spans (sorted (meta, value) runs) -> table id.
   std::map<std::vector<std::pair<std::uint32_t, std::int64_t>>, std::int64_t> spans_;
-  std::size_t freed_count_ = 0;    ///< free_list_ + free_pending_
-  std::uint32_t gc_stamp_ = 0;
-  std::size_t last_gc_live_ = 0;   ///< live records after the last sweep
-  double gc_fraction_ = 0.25;
   std::uint64_t epoch_ = 0;
   std::size_t last_dirtied_ = 0;
   std::size_t total_dirtied_ = 0;
@@ -462,7 +433,6 @@ class ObligationGraph {
   std::size_t touched_total_ = 0;
   std::size_t last_touched_ = 0;
   std::size_t gc_sweeps_ = 0;
-  std::size_t gc_marked_ = 0;
   std::size_t gc_freed_ = 0;
   std::size_t gc_freed_bytes_ = 0;
   std::size_t orphan_unlinks_ = 0;

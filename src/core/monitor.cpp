@@ -37,31 +37,14 @@ CheckResult Monitor::current() const {
 
 void Monitor::sync_epoch() const {
   // The trace is owned by this monitor and only ever grows through
-  // observe(); if some future caller nevertheless rewrites a state in
-  // place, the append-delta premise is gone — drop both stores and start
-  // over (correct, just no longer incremental for that step).
-  if (trace_.rewrites() != seen_rewrites_) {
-    graph_.reset();
-    cache_.evict_entries();
-    seen_rewrites_ = trace_.rewrites();
-    seen_appends_ = 0;  // force an epoch: everything recomputes
-  }
-  if (trace_.appends() != seen_appends_) {
-    // Epoch boundary: no evaluation in flight, so this is the one safe spot
-    // for an automatic mark-and-sweep (pacing in ObligationGraph::maybe_gc).
-    graph_.maybe_gc();
-    // One epoch per verdict refresh (several appends between verdicts fold
-    // into one invalidation pass; the scan frontiers cover the gap).
-    graph_.begin_epoch();
-    seen_appends_ = trace_.appends();
-  }
+  // observe(), so its size says whether states arrived since the last
+  // verdict.  One epoch per verdict refresh: several appends between
+  // verdicts fold into one invalidation pass (the scan frontiers cover the
+  // gap).
+  if (trace_.size() == seen_states_) return;
+  graph_.begin_epoch();
+  seen_states_ = trace_.size();
 }
-
-std::size_t Monitor::gc_obligations() { return graph_.gc_sweep(); }
-
-void Monitor::set_gc_fraction(double fraction) { graph_.set_gc_fraction(fraction); }
-
-void Monitor::set_cache_capacity(std::size_t cap) { cache_.set_capacity(cap); }
 
 void Monitor::reserve(std::size_t states) { trace_.reserve(states); }
 
@@ -75,6 +58,9 @@ CheckResult Monitor::verdict_at(std::size_t horizon) const {
       result.failed.push_back(spec_.name + "." + axiom->name);
     }
   }
+  // End of the pass: no evaluation holds an ObId, so the records no open
+  // record reads any more can be freed.
+  graph_.collect();
   return result;
 }
 

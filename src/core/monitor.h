@@ -84,30 +84,15 @@ class Monitor {
   /// a known number of states and must not pay reallocation mid-loop).
   void reserve(std::size_t states);
 
-  /// Soft cap on settled-cache entries (EvalCache::set_capacity): bounds the
-  /// closed-world store of a long-lived monitor.  0 = unlimited.
-  void set_cache_capacity(std::size_t cap);
-
   // -- resource-budget hooks (engine/service.h byte budget) ----------------
 
   /// Bytes resident in this monitor's evaluation stores: the memo cache's
   /// slot table plus the obligation graph's estimate — obligation and
   /// reverse-index vectors, per-kind resume state, the open-reader list,
-  /// GC bookkeeping, and hash-table entries (gauge).
+  /// reclaim bookkeeping, and hash-table entries (gauge).  Every verdict
+  /// pass ends with ObligationGraph::collect(), so between verdicts the
+  /// graph holds only its live records.
   std::size_t footprint_bytes() const { return cache_.bytes() + graph_.bytes(); }
-
-  /// Automatic mark-and-sweep pacing for the obligation graph
-  /// (ObligationGraph::set_gc_fraction); sweeps run at epoch boundaries
-  /// inside the verdict path.  <= 0 disables automatic sweeps.
-  void set_gc_fraction(double fraction);
-
-  /// Forces a mark-and-sweep GC pass on the obligation graph
-  /// (ObligationGraph::gc_sweep): frees records unreachable from the root
-  /// verdict obligations.  Verdicts are unaffected — a freed record that is
-  /// ever queried again is recomputed from scratch.  A service monitor over
-  /// its byte budget gets one such pass before it is quarantined.  Returns
-  /// the records freed.
-  std::size_t gc_obligations();
 
  private:
   void sync_epoch() const;  ///< fold unseen appends into one epoch
@@ -118,8 +103,7 @@ class Monitor {
   Trace trace_;
   mutable EvalCache cache_;  ///< persists across observe()/current() calls
   mutable ObligationGraph graph_;
-  mutable std::uint64_t seen_appends_ = 0;   ///< appends consumed by the delta pass
-  mutable std::uint64_t seen_rewrites_ = 0;  ///< rewrites seen (any change: full reset)
+  mutable std::size_t seen_states_ = 0;  ///< trace size at the last epoch
 };
 
 }  // namespace il

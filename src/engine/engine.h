@@ -77,18 +77,12 @@ struct Options {
 
   /// MonitorService only: per-monitor byte budget for the evaluation stores
   /// (Monitor::footprint_bytes(): obligation graph + memo cache).  0 (the
-  /// default) disables accounting entirely.  A monitor found over budget at
-  /// an epoch boundary gets a forced mark-and-sweep GC
-  /// (Monitor::gc_obligations); if its footprint is still over budget right
-  /// after the sweep, it is quarantined.  Both steps are counted in
-  /// ServiceStats (budget_gcs, budget_quarantines) and rendered by dump().
+  /// default) disables accounting entirely.  Checked after each epoch's
+  /// verdicts: every verdict pass ends by freeing the obligation records no
+  /// open record reads (ObligationGraph::collect), so the footprint is
+  /// already the live set and a monitor over budget is quarantined.
+  /// Counted in ServiceStats::budget_quarantines and rendered by dump().
   std::size_t obligation_byte_budget = 0;
-
-  /// Automatic obligation-graph GC pacing, applied to every monitor the
-  /// engine creates (Monitor::set_gc_fraction): a mark-and-sweep runs at an
-  /// epoch boundary once the resident record count outgrows the last
-  /// sweep's live set by this fraction.  <= 0 disables automatic sweeps.
-  double obligation_gc_fraction = 0.25;
 
   /// MonitorService only: how many times a quarantined monitor may be
   /// reinstate()d.  A monitor quarantined more than this many times has its
@@ -150,9 +144,8 @@ struct StreamStats {
   /// dump() shows neither this nor stabs (each monitor's epoch count).
   std::size_t obligation_index_visited = 0;
   std::size_t obligation_index_touched = 0;  ///< obligations seeded by the walks, lifetime
-  std::size_t gc_sweeps = 0;       ///< mark-and-sweep passes, lifetime
-  std::size_t gc_marked = 0;       ///< records marked reachable, lifetime
-  std::size_t gc_freed = 0;        ///< records freed (sweeps + orphan cascades)
+  std::size_t gc_sweeps = 0;       ///< collect() passes that freed a record, lifetime
+  std::size_t gc_freed = 0;        ///< obligation records freed, lifetime
   std::size_t gc_freed_bytes = 0;  ///< estimated bytes returned, lifetime
   std::size_t gc_orphans = 0;      ///< superseded records unlinked directly
 };

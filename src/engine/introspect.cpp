@@ -39,7 +39,6 @@ void dump_counters(KvWriter kv, const StreamStats& stats) {
   idx.emit("touched", stats.obligation_index_touched);
   KvWriter gc = kv.scoped("gc");
   gc.emit("sweeps", stats.gc_sweeps);
-  gc.emit("marked", stats.gc_marked);
   gc.emit("freed", stats.gc_freed);
   gc.emit("freed_bytes", stats.gc_freed_bytes);
   gc.emit("orphans", stats.gc_orphans);

@@ -69,8 +69,7 @@ struct MonitorService::Shard {
   std::size_t retired_compactions = 0;  ///< tombstone sweeps, lifetime
   std::size_t quarantined = 0;  ///< slots in SlotState::Quarantined (gauge)
   std::size_t quarantines = 0;  ///< quarantine events, lifetime
-  std::size_t budget_gcs = 0;          ///< over budget: forced GC sweeps
-  std::size_t budget_quarantines = 0;  ///< still over budget after the GC
+  std::size_t budget_quarantines = 0;  ///< over the byte budget
 
   // Stream counters (lifetime; survive retirement).
   std::size_t states = 0;
@@ -90,11 +89,10 @@ struct MonitorService::Shard {
   /// Builds the slot's Monitor from its registration inputs — the
   /// "service.register" fault site, shared by Register and Reinstate.
   /// Throws if the spec fails to build; the slot is then left without one.
-  static void build_monitor(Slot& slot, double gc_fraction) {
+  static void build_monitor(Slot& slot) {
     IL_FAULT_SCOPE(slot.id);
     IL_INJECT_FAULT("service.register");
     slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env);
-    slot.monitor->set_gc_fraction(gc_fraction);
   }
 
   /// Folds the slot's monitor's lifetime cache/graph counters into the
@@ -373,7 +371,7 @@ void MonitorService::apply_barrier(Command& cmd) {
     slot.spec = std::move(cmd.spec);
     slot.env = std::move(cmd.env);
     try {
-      Shard::build_monitor(slot, options_.obligation_gc_fraction);
+      Shard::build_monitor(slot);
     } catch (...) {
       // Quarantined at birth: the spec failed to build.  The slot still
       // exists — its row slots render Faulted, and reinstate() may retry
@@ -417,7 +415,7 @@ void MonitorService::apply_barrier(Command& cmd) {
           outcome = Outcome::Refused;
         } else {
           try {
-            Shard::build_monitor(slot, options_.obligation_gc_fraction);
+            Shard::build_monitor(slot);
             slot.state = Shard::SlotState::Active;
             slot.fault = nullptr;
             slot.states_since_fault = 0;
@@ -657,19 +655,15 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
       }
       sh.axioms_checked += slot.monitor->spec().all().size() * states.size();
       sh.verdicts += states.size();
-      // Byte budget: a monitor whose stores exceed it gets a forced
-      // obligation GC; if the sweep cannot bring the footprint back under
-      // budget, the monitor is quarantined.  The rows of this epoch are
-      // already written, so the quarantine applies from the next epoch on.
+      // Byte budget: each verdict pass ended by freeing the records no
+      // open record reads, so the footprint is the live set and a monitor
+      // over budget is quarantined.  The rows of this epoch are already
+      // written, so the quarantine applies from the next epoch on.
       if (budget != 0 && slot.monitor->footprint_bytes() > budget) {
-        slot.monitor->gc_obligations();
-        ++sh.budget_gcs;
-        if (slot.monitor->footprint_bytes() > budget) {
-          quarantine_slot_locked(sh, w.slot,
-                                 std::make_exception_ptr(std::runtime_error(
-                                     "monitor exceeded obligation_byte_budget")));
-          ++sh.budget_quarantines;
-        }
+        quarantine_slot_locked(sh, w.slot,
+                               std::make_exception_ptr(std::runtime_error(
+                                   "monitor exceeded obligation_byte_budget")));
+        ++sh.budget_quarantines;
       }
     }
     for (std::size_t si = 0; si < batch_streams.size(); ++si) {
@@ -742,7 +736,6 @@ StreamStats MonitorService::shard_stats_locked(const Shard& sh) const {
     out.obligation_index_visited += g.touched_total();
     out.obligation_index_touched += g.touched_total();
     out.gc_sweeps += g.gc_sweeps();
-    out.gc_marked += g.gc_marked();
     out.gc_freed += g.gc_freed();
     out.gc_freed_bytes += g.gc_freed_bytes();
     out.gc_orphans += g.orphan_unlinks();
@@ -792,7 +785,6 @@ ServiceStats MonitorService::stats() const {
     out.retired_compactions += sh.retired_compactions;
     out.monitors_quarantined += sh.quarantined;
     out.quarantines += sh.quarantines;
-    out.budget_gcs += sh.budget_gcs;
     out.budget_quarantines += sh.budget_quarantines;
     out.totals.monitors += ss.monitors;
     out.totals.verdicts += ss.verdicts;
@@ -815,7 +807,6 @@ ServiceStats MonitorService::stats() const {
     out.totals.obligation_index_visited += ss.obligation_index_visited;
     out.totals.obligation_index_touched += ss.obligation_index_touched;
     out.totals.gc_sweeps += ss.gc_sweeps;
-    out.totals.gc_marked += ss.gc_marked;
     out.totals.gc_freed += ss.gc_freed;
     out.totals.gc_freed_bytes += ss.gc_freed_bytes;
     out.totals.gc_orphans += ss.gc_orphans;
@@ -852,7 +843,6 @@ void MonitorService::dump(std::ostream& os) const {
   service.emit("reinstates", s.reinstates);
   service.emit("reinstate_misses", s.reinstate_misses);
   service.emit("reinstate_refused", s.reinstate_refused);
-  service.emit("budget_gcs", s.budget_gcs);
   service.emit("budget_quarantines", s.budget_quarantines);
   for (std::size_t i = 0; i < shards_.size(); ++i) dump_shard(i, os);
 }
@@ -869,7 +859,6 @@ void MonitorService::dump_shard(std::size_t shard, std::ostream& os) const {
   kv.emit("retired_compactions", sh.retired_compactions);
   kv.emit("quarantined", sh.quarantined);
   kv.emit("quarantines", sh.quarantines);
-  kv.emit("budget_gcs", sh.budget_gcs);
   kv.emit("budget_quarantines", sh.budget_quarantines);
 }
 

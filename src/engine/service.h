@@ -74,10 +74,11 @@
 //   gated by a capped exponential backoff (after its k-th fault the monitor
 //   must sit out 2^(k-1) states of its stream, capped at 2^16) and a retry
 //   budget (Options::max_reinstate_attempts).  Resource faults feed the same
-//   machinery: with Options::obligation_byte_budget set, a monitor found
-//   over budget at an epoch boundary gets a forced obligation GC, and is
-//   quarantined if its footprint is still over budget right after the
-//   sweep — both steps counted in ServiceStats and rendered by dump().
+//   machinery: with Options::obligation_byte_budget set, a monitor whose
+//   footprint (its live set: every verdict pass ends by freeing the
+//   obligation records no open record reads) is over budget at an epoch
+//   boundary is quarantined — counted in ServiceStats and rendered by
+//   dump().
 //
 // Error contract: *poisoning* remains only for coordinator-level invariant
 // violations (a throw escaping the command loop itself, e.g. an injected
@@ -220,8 +221,7 @@ struct ServiceStats {
   std::size_t reinstates = 0;   ///< successful reinstate()s, lifetime
   std::size_t reinstate_misses = 0;   ///< reinstate() of unknown/active id
   std::size_t reinstate_refused = 0;  ///< refused by backoff or retry budget
-  std::size_t budget_gcs = 0;          ///< over budget: forced GC sweeps
-  std::size_t budget_quarantines = 0;  ///< still over budget after the GC: quarantined
+  std::size_t budget_quarantines = 0;  ///< over the byte budget: quarantined
   StreamStats totals;  ///< summed over shards
 };
 

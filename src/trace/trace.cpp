@@ -25,14 +25,12 @@ const State& Trace::back() const {
 State& Trace::back_mut() {
   IL_REQUIRE(!states_.empty());
   id_ = next_id();  // the caller may mutate through the reference
-  ++rewrites_;      // existing positions may change: not an append delta
   return states_.back();
 }
 
 State& Trace::state_mut(std::size_t k) {
   IL_REQUIRE(k < states_.size());
   id_ = next_id();  // the caller may mutate through the reference
-  ++rewrites_;
   return states_[k];
 }
 

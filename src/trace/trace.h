@@ -15,14 +15,11 @@
 //
 // For *streaming* consumers the whole-identity bump is too blunt: appending
 // a state leaves every existing position untouched, so results that only
-// read the settled prefix are still valid.  A trace therefore also exposes
-// an append-delta view of its mutation history: stable_id() names the state
-// sequence's lineage (fresh per construction/copy, surviving push), and the
-// appends()/rewrites() counters say *how* it got to its current content.
-// A consumer that snapshots (stable_id, appends, rewrites) can tell a pure
-// append run (delta := new states only) from an in-place rewrite (full
-// invalidation required).  The incremental monitor (core/monitor.h) is the
-// first client.
+// read the settled prefix are still valid.  A trace therefore also carries
+// a lineage identity, stable_id() (fresh per construction/copy, surviving
+// push), for stores that stay valid while the trace only grows.  The
+// incremental monitor (core/monitor.h) is the client: it owns its trace
+// and only ever appends to it.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +42,6 @@ class Trace {
     states_ = other.states_;
     id_ = next_id();
     stable_id_ = id_;
-    appends_ = 0;
-    rewrites_ = 0;
     return *this;
   }
   Trace(Trace&&) = default;  ///< moves keep the ids: same logical trace
@@ -58,20 +53,9 @@ class Trace {
 
   /// Lineage identity: fresh per construction/copy, *not* refreshed by
   /// push() or the mutable-state accessors.  Two snapshots with the same
-  /// stable_id() are the same growing sequence; combine with appends() and
-  /// rewrites() to learn how its content evolved in between.
+  /// stable_id() are the same sequence, possibly grown or rewritten in
+  /// between.
   std::uint64_t stable_id() const { return stable_id_; }
-
-  /// Number of push() calls since construction/copy.  A consumer that saw
-  /// (stable_id, appends, rewrites) == (s, a, r) and now sees (s, a', r)
-  /// knows exactly the states [size()-(a'-a), size()) are new and every
-  /// earlier position is bit-identical — the append-only delta.
-  std::uint64_t appends() const { return appends_; }
-
-  /// Number of mutable-state handouts (back_mut/state_mut) since
-  /// construction/copy.  Any change here means existing positions may have
-  /// been rewritten in place: delta reasoning is off, invalidate fully.
-  std::uint64_t rewrites() const { return rewrites_; }
 
   /// Number of explicitly stored states.  Must be >= 1 before evaluation.
   std::size_t size() const { return states_.size(); }
@@ -86,12 +70,10 @@ class Trace {
   void reserve(std::size_t n) { states_.reserve(n); }
 
   /// Appends a state (invalidating previously cached results by id change;
-  /// append-delta consumers instead watch appends() tick under an unchanged
-  /// stable_id()).
+  /// stable_id() is unchanged).
   void push(State s) {
     states_.push_back(std::move(s));
     id_ = next_id();
-    ++appends_;
   }
 
   /// Last explicitly stored state (requires non-empty).
@@ -119,8 +101,6 @@ class Trace {
   std::vector<State> states_;
   std::uint64_t id_ = 0;
   std::uint64_t stable_id_ = 0;
-  std::uint64_t appends_ = 0;
-  std::uint64_t rewrites_ = 0;
 };
 
 /// Builder that records a system's evolution: mutate the working state via

@@ -275,7 +275,6 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
       "service.reinstates 0\n"
       "service.reinstate_misses 0\n"
       "service.reinstate_refused 0\n"
-      "service.budget_gcs 0\n"
       "service.budget_quarantines 0\n";
   for (const char* shard : {"shard0", "shard1"}) {
     const std::string p(shard);
@@ -300,14 +299,12 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
     expected += p + ".obligation_index.nodes 0\n";
     expected += p + ".obligation_index.touched 0\n";
     expected += p + ".gc.sweeps 0\n";
-    expected += p + ".gc.marked 0\n";
     expected += p + ".gc.freed 0\n";
     expected += p + ".gc.freed_bytes 0\n";
     expected += p + ".gc.orphans 0\n";
     expected += p + ".retired_compactions 0\n";
     expected += p + ".quarantined 0\n";
     expected += p + ".quarantines 0\n";
-    expected += p + ".budget_gcs 0\n";
     expected += p + ".budget_quarantines 0\n";
   }
   EXPECT_EQ(os.str(), expected);

@@ -3,10 +3,11 @@
 // prefix; the list must track exactly the open readers through settlement
 // and freeing; an epoch must touch a handful of records, not the graph;
 // relocating open event searches must unlink the obligation records they
-// supersede; a settled record must drop its resume state; mark-and-sweep GC
-// may fire at arbitrary points without changing a single verdict; and a
-// GC'd long-run monitor's footprint must plateau instead of growing with
-// the trace.
+// supersede; a settled record must drop its resume state; reclaim must be
+// exact — after every append the resident records are precisely those a
+// root reaches through open records — without changing a single verdict;
+// and a long-run monitor's graph footprint must plateau instead of growing
+// with the trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,11 +116,9 @@ State qr(bool q, bool r) {
 
 /// A relocating open event find must unlink the obligation
 /// record it supersedes immediately, so the graph's resident entry count
-/// stays flat across arbitrarily many relocations (GC disabled: the direct
-/// unlink alone must hold the line, not the sweeper).
+/// stays flat across arbitrarily many relocations.
 TEST(ObligationIndex, RelocatingEventFindKeepsEntriesFlat) {
   Monitor m(relocating_spec());
-  m.set_gc_fraction(0.0);
   constexpr std::size_t kTotal = 1024;
   constexpr std::size_t kPulse = 64;  // q drops every kPulse-th state
   std::vector<std::size_t> phase_entries;  // sampled at a fixed pulse phase
@@ -167,7 +166,7 @@ TEST(ObligationIndex, IndexedMatchesUncachedAtEveryPrefix) {
 
 /// The whole point of the reader list: an epoch touches the open readers of
 /// the horizon, not the graph.  On a long steady-state stream (2048 states,
-/// a !q pulse every 64, GC off) the per-epoch seed count and the resident
+/// a !q pulse every 64) the per-epoch seed count and the resident
 /// record count must both stay at a handful, independent of the trace
 /// length.  The resident count spikes for one epoch at each pulse — the
 /// pulse settles one period's worth of []q probes at once, and the find
@@ -177,7 +176,6 @@ TEST(ObligationIndex, EpochTouchesAHandfulOfRecords) {
   constexpr std::size_t kTotal = 2048;
   constexpr std::size_t kPulse = 64;
   Monitor m(relocating_spec());
-  m.set_gc_fraction(0.0);
   std::size_t steady = 0;
   std::size_t peak = 0;
   for (std::size_t k = 0; k < kTotal; ++k) {
@@ -228,10 +226,21 @@ TEST(ObligationIndex, ReaderListTracksOpenReaders) {
   EXPECT_EQ(g.last_dirtied(), 2u);
   EXPECT_EQ(g.last_touched(), 2u);
 
-  // Freeing the first reader moves the last one into its place.
+  // Freeing the first reader moves the last one into its place.  It is
+  // freed the way the evaluator frees: its only parent settles, which drops
+  // the edge, and the next collect() finds it unread and not a root.
+  ObligationGraph::Key parent_key;
+  parent_key.node = 10;
+  const ObligationGraph::ObId parent = g.obtain(parent_key);
+  g.mark_root(parent);
+  g.add_dep(parent, id[0]);
   g.mark_root(id[1]);
   g.mark_root(id[2]);
-  EXPECT_EQ(g.gc_sweep(), 1u);
+  EXPECT_EQ(g.collect(), 0u);  // still read by an open parent
+  g.at(parent).settled = true;
+  g.on_settle(parent);
+  EXPECT_EQ(g.edges(), 0u);
+  EXPECT_EQ(g.collect(), 1u);
   EXPECT_TRUE(g.at(id[0]).freed);
   EXPECT_EQ(g.index_nodes(), 1u);
   clean_all();
@@ -251,9 +260,8 @@ TEST(ObligationIndex, ReaderListTracksOpenReaders) {
 
 /// A record that settles while its open-position list is non-empty (a []
 /// pinned false part-way through rechecking its open positions) must free
-/// that list on the spot: settlement is permanent, GC never descends into a
-/// settled record, and a settled root is never freed, so nothing else would
-/// ever reclaim it.
+/// that list on the spot: settlement is permanent and a settled root is
+/// never freed, so nothing else would ever reclaim it.
 TEST(ObligationIndex, SettlingFreesOpenPositions) {
   ObligationGraph g;
   ObligationGraph::Key key;
@@ -285,8 +293,8 @@ TEST(ObligationIndex, FootprintAccountsForIndexNodes) {
 /// Keys never overflow: a query observing more bindings than a key holds
 /// inline interns them into the graph's span table and keys by the table
 /// id, so equal bindings share one record and different ones get their
-/// own.  Up to EvalCache::kMaxEnv bindings stay inline.  reset() drops the
-/// table, and bytes() counts it.
+/// own.  Up to EvalCache::kMaxEnv bindings stay inline, and bytes() counts
+/// the table.
 TEST(ObligationIndex, WideBindingsSpillIntoTheSpanTable) {
   using Op = ObligationGraph::Op;
   ObligationGraph g;
@@ -294,7 +302,9 @@ TEST(ObligationIndex, WideBindingsSpillIntoTheSpanTable) {
   std::vector<std::uint32_t> metas;
   for (const Env::Binding& b : env.bindings()) metas.push_back(b.first);
 
+  const std::size_t without_spans = g.bytes();
   const ObligationGraph::Key wide = g.key(7, Op::Sat, 0, metas, env);
+  EXPECT_GT(g.bytes(), without_spans);
   EXPECT_GT(wide.n_env, EvalCache::kMaxEnv);
   EXPECT_EQ(g.spans(), 1u);
   EXPECT_TRUE(g.key(7, Op::Sat, 0, metas, env) == wide);
@@ -311,17 +321,11 @@ TEST(ObligationIndex, WideBindingsSpillIntoTheSpanTable) {
   const ObligationGraph::Key narrow = g.key(7, Op::Sat, 0, metas, env);
   EXPECT_EQ(narrow.n_env, EvalCache::kMaxEnv);
   EXPECT_EQ(g.spans(), 2u);
-
-  const std::size_t with_spans = g.bytes();
-  g.reset();
-  EXPECT_EQ(g.spans(), 0u);
-  EXPECT_LT(g.bytes(), with_spans);
 }
 
-/// A seeded randomized soak interleaving appends with forced GC sweeps,
-/// with auto-GC armed at an aggressive fraction.  Verdicts must stay
-/// bit-identical to the reference at every prefix, on the corpus and on the
-/// relocating spec.
+/// A seeded randomized soak on the corpus and on a noisy relocating run:
+/// records are freed along the way, and verdicts must stay bit-identical to
+/// the reference at every prefix.
 TEST(ObligationIndex, SoakGcPreservesVerdicts) {
   std::mt19937 rng(0xC0FFEEu);
   StreamCases cases;
@@ -332,30 +336,27 @@ TEST(ObligationIndex, SoakGcPreservesVerdicts) {
     for (std::size_t k = 0; k < 768; ++k) t.push(qr(u(rng) < 0.95, u(rng) < 0.02));
     cases.add(&cases.specs.back(), std::move(t));
   }
-  std::uniform_int_distribution<int> maintenance(0, 9);
-  std::size_t sweeps = 0;
+  std::size_t freed = 0;
   std::size_t failing_prefixes = 0;
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     const Spec& spec = *cases.spec_of[c];
     const Trace& run = cases.traces[c];
     const std::vector<CheckResult> oracle = prefix_oracle(spec, run);
     Monitor inc(spec);
-    inc.set_gc_fraction(0.05);
     for (std::size_t k = 0; k < run.size(); ++k) {
       const CheckResult got = inc.append(run.states()[k]);
       ASSERT_EQ(got.ok, oracle[k].ok) << "case " << c << " prefix " << k;
       ASSERT_EQ(got.failed, oracle[k].failed) << "case " << c << " prefix " << k;
-      if (maintenance(rng) == 0) inc.gc_obligations();
     }
-    sweeps += inc.obligations().gc_sweeps();
+    freed += inc.obligations().gc_freed();
     failing_prefixes += count_failing(oracle);
   }
-  EXPECT_GT(sweeps, 0u);
+  EXPECT_GT(freed, 0u);
   EXPECT_GT(failing_prefixes, 0u);
 }
 
-/// The same soak through a MonitorService fleet at pool widths 1, 2 and 4
-/// with auto-GC armed fleet-wide: every subscriber's row slot must carry
+/// The same soak through a MonitorService fleet at pool widths 1, 2 and 4:
+/// records are freed fleet-wide, and every subscriber's row slot must carry
 /// the reference verdict for its prefix.
 TEST(ObligationIndex, SoakPoolWidthsMatchUncachedUnderGc) {
   std::mt19937 rng(0xB0BACAFEu);
@@ -370,7 +371,6 @@ TEST(ObligationIndex, SoakPoolWidthsMatchUncachedUnderGc) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     engine::Options opts;
     opts.num_threads = threads;
-    opts.obligation_gc_fraction = 0.05;
     engine::MonitorService service(opts);
     for (std::size_t j = 0; j < kSubscribers; ++j) service.register_spec(spec);
     for (const State& s : run.states()) service.append(s);
@@ -385,26 +385,24 @@ TEST(ObligationIndex, SoakPoolWidthsMatchUncachedUnderGc) {
         ASSERT_EQ(got.failed, oracle[k].failed) << "threads " << threads << " state " << k;
       }
     }
+    EXPECT_GT(service.stats().totals.gc_freed, 0u) << "threads " << threads;
   }
 }
 
-/// With the settled cache capped and GC
-/// armed, a long-lived monitor's evaluation-store footprint plateaus — the
-/// max over the final quarter of the run stays within 1.5x the max over the
-/// second quarter, instead of tracking the trace length.
+/// A long-lived monitor's obligation-graph footprint plateaus — the max
+/// over the final quarter of the run stays within 1.5x the max over the
+/// second quarter, instead of tracking the trace length.  (The settled
+/// closed-world cache is uncapped and grows with the trace by design.)
 TEST(ObligationIndex, FootprintPlateausUnderGc) {
   std::mt19937 rng(7u);
   std::uniform_real_distribution<double> u(0.0, 1.0);
   Monitor m(relocating_spec());
-  m.set_cache_capacity(1024);
-  m.set_gc_fraction(0.25);
   constexpr std::size_t kTotal = 4096;
   std::vector<std::size_t> footprint;
   footprint.reserve(kTotal);
   for (std::size_t k = 0; k < kTotal; ++k) {
     m.append(qr(u(rng) < 0.95, u(rng) < 0.02));
-    if (k % 257 == 256) m.gc_obligations();
-    footprint.push_back(m.footprint_bytes());
+    footprint.push_back(m.obligations().bytes());
   }
   const auto quarter_max = [&](std::size_t q) {
     const std::size_t lo = q * kTotal / 4;
@@ -415,6 +413,57 @@ TEST(ObligationIndex, FootprintPlateausUnderGc) {
   const std::size_t last = quarter_max(3);
   EXPECT_LE(last, second + second / 2) << "footprint still growing after 4x the states";
   EXPECT_GT(m.obligations().gc_sweeps(), 0u);
+}
+
+/// Records reached from the roots through the dependency lists of OPEN
+/// records only — what a tracing collector would keep.  A settled record
+/// never recomputes, so it never re-reads its children.
+std::size_t reachable_from_roots(const ObligationGraph& g) {
+  std::vector<bool> seen;
+  std::vector<ObligationGraph::ObId> stack;
+  const auto visit = [&](ObligationGraph::ObId id) {
+    if (id >= seen.size()) seen.resize(id + 1, false);
+    if (seen[id]) return;
+    seen[id] = true;
+    stack.push_back(id);
+  };
+  for (const ObligationGraph::ObId r : g.roots()) visit(r);
+  std::size_t reached = 0;
+  while (!stack.empty()) {
+    const ObligationGraph::Obligation& ob = g.at(stack.back());
+    stack.pop_back();
+    ++reached;
+    if (ob.settled) continue;
+    for (const ObligationGraph::ObId d : ob.deps) visit(d);
+  }
+  return reached;
+}
+
+/// Reclaim is exact: after every append — the end of a verdict pass — the
+/// resident records are precisely those a root reaches through open
+/// records.  Nothing unreachable survives, so a tracing sweep would find
+/// nothing to free; nothing reachable is freed.  Runs the corpus plus a
+/// relocating spec, whose superseded body records must go too.
+TEST(ObligationIndex, ReclaimIsExact) {
+  StreamCases cases;
+  {
+    cases.specs.push_back(relocating_spec());
+    Trace t;
+    for (std::size_t k = 0; k < 256; ++k) t.push(qr(k % 32 != 31, k % 97 == 96));
+    cases.add(&cases.specs.back(), std::move(t));
+  }
+  std::size_t freed = 0;
+  for (std::size_t c = 0; c < cases.traces.size(); ++c) {
+    Monitor m(*cases.spec_of[c]);
+    const std::vector<State>& states = cases.traces[c].states();
+    for (std::size_t k = 0; k < states.size(); ++k) {
+      m.append(states[k]);
+      ASSERT_EQ(reachable_from_roots(m.obligations()), m.obligations().size())
+          << "case " << c << " prefix " << k;
+    }
+    freed += m.obligations().gc_freed();
+  }
+  EXPECT_GT(freed, 0u);
 }
 
 }  // namespace

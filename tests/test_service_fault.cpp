@@ -7,7 +7,7 @@
 // unbound meta variable (std::invalid_argument) exactly when a state with
 // boom=1 arrives, and short-circuits safely on every other state.  On top
 // of that: the reinstate lifecycle (backoff gate, retry budget, rebuild
-// failure), the byte budget (forced GC, then quarantine if still over),
+// failure), the byte budget (quarantine once the live set is over it),
 // and — under IL_FAULT_INJECTION — per-site differentials for the injected
 // harness plus a seeded soak (IL_FAULT_SOAK_SECONDS bounds it).
 #include <gtest/gtest.h>
@@ -281,18 +281,18 @@ TEST(ServiceFault, OverBudgetMonitorIsCollectedThenQuarantined) {
   opts.num_threads = 1;
   opts.num_shards = 1;
   opts.max_epoch_batch = 1;
-  opts.obligation_byte_budget = 1;  // no sweep can get a live monitor under this
+  opts.obligation_byte_budget = 1;  // no live monitor fits under this
   MonitorService service(opts);
   service.register_spec(sys::mutex_spec(3));
   for (const State& s : run.states()) service.append(s);
   service.flush();
 
-  // Epoch 1 ended over budget: a forced GC, and — the footprint still over
-  // budget straight after it — quarantine.  The row of that epoch was
-  // already evaluated (the quarantine applies from the next epoch on) and
-  // matches the reference.
+  // Epoch 1 ended over budget — its footprint is already the live set, the
+  // verdict pass having freed every record no open record reads — so the
+  // monitor is quarantined.  The row of that epoch was already evaluated
+  // (the quarantine applies from the next epoch on) and matches the
+  // reference.
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.budget_gcs, 1u);
   EXPECT_EQ(stats.budget_quarantines, 1u);
   EXPECT_EQ(stats.quarantines, 1u);
   EXPECT_EQ(stats.monitors_quarantined, 1u);
@@ -320,9 +320,10 @@ TEST(ServiceFault, OverBudgetMonitorIsCollectedThenQuarantined) {
   EXPECT_EQ(service.stats().reinstates, 1u);
 }
 
-TEST(ServiceFault, GcThatRestoresTheBudgetKeepsTheMonitor) {
-  // A budget the forced GC can get back under: the monitor is collected,
-  // never quarantined, and every row still matches the reference.
+TEST(ServiceFault, BudgetAtThePeakFootprintKeepsTheMonitor) {
+  // A budget equal to the largest footprint a private monitor reaches over
+  // the run: the service's monitor runs the same passes, so it never goes
+  // over, is never quarantined, and every row matches the reference.
   sys::MutexRunConfig mc;
   mc.seed = 1;
   mc.entries = 4;
@@ -330,56 +331,25 @@ TEST(ServiceFault, GcThatRestoresTheBudgetKeepsTheMonitor) {
   const std::vector<CheckResult> oracle = prefix_oracle(sys::mutex_spec(3), run);
   EXPECT_GT(count_failing(oracle), 0u);
 
-  // Replays the service's budget rule on a private monitor: the number of
-  // forced GCs under `budget`, or -1 if some GC would leave it over budget.
-  const auto forced_gcs = [&](std::size_t budget) {
-    Monitor m(sys::mutex_spec(3));
-    m.set_gc_fraction(0.0);
-    long gcs = 0;
-    for (const State& s : run.states()) {
-      m.append(s);
-      if (m.footprint_bytes() <= budget) continue;
-      m.gc_obligations();
-      ++gcs;
-      if (m.footprint_bytes() > budget) return -1L;
-    }
-    return gcs;
-  };
-  // The smallest footprint-derived budget the rule survives with a GC.
-  std::vector<std::size_t> candidates;
+  std::size_t budget = 0;
   {
     Monitor m(sys::mutex_spec(3));
-    m.set_gc_fraction(0.0);
     for (const State& s : run.states()) {
       m.append(s);
-      candidates.push_back(m.footprint_bytes());
-      m.gc_obligations();
-      candidates.push_back(m.footprint_bytes());
+      budget = std::max(budget, m.footprint_bytes());
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  std::size_t budget = 0;
-  long want_gcs = 0;
-  for (const std::size_t c : candidates) {
-    want_gcs = forced_gcs(c);
-    if (want_gcs > 0) {
-      budget = c;
-      break;
-    }
-  }
-  ASSERT_GT(budget, 0u) << "no budget where the GC alone restores the footprint";
+  ASSERT_GT(budget, 0u);
 
   Options opts;
   opts.num_threads = 1;
   opts.num_shards = 1;
   opts.max_epoch_batch = 1;
-  opts.obligation_gc_fraction = 0.0;
   opts.obligation_byte_budget = budget;
   MonitorService service(opts);
   service.register_spec(sys::mutex_spec(3));
   for (const State& s : run.states()) service.append(s);
   service.flush();
-  EXPECT_EQ(service.stats().budget_gcs, static_cast<std::size_t>(want_gcs));
   EXPECT_EQ(service.stats().budget_quarantines, 0u);
   EXPECT_EQ(service.stats().quarantines, 0u);
   expect_survivors_match(service.drain(), ~MonitorId{0}, 1, oracle, "budget " + std::to_string(budget));

@@ -90,13 +90,11 @@ TEST(TraceBuilder, StepHelper) {
 }
 
 TEST(Trace, AppendDeltaNotification) {
-  // The append-delta view: push() ticks appends() under an unchanged
-  // stable_id(), while the memoization identity id() still refreshes.
+  // The lineage identity: push() keeps stable_id() while the memoization
+  // identity id() refreshes.
   Trace tr;
   const std::uint64_t lineage = tr.stable_id();
   const std::uint64_t id0 = tr.id();
-  EXPECT_EQ(tr.appends(), 0u);
-  EXPECT_EQ(tr.rewrites(), 0u);
 
   State s;
   s.set("x", 1);
@@ -104,26 +102,19 @@ TEST(Trace, AppendDeltaNotification) {
   tr.push(s);
   EXPECT_EQ(tr.stable_id(), lineage);
   EXPECT_NE(tr.id(), id0);
-  EXPECT_EQ(tr.appends(), 2u);
-  EXPECT_EQ(tr.rewrites(), 0u);
 
-  // In-place mutation is the other kind of delta: rewrites() ticks and
-  // append-only reasoning is off.
+  // In-place mutation refreshes id() too, under the same lineage.
+  const std::uint64_t id2 = tr.id();
   tr.back_mut().set("x", 9);
-  EXPECT_EQ(tr.rewrites(), 1u);
+  EXPECT_NE(tr.id(), id2);
   tr.state_mut(0).set("x", 3);
-  EXPECT_EQ(tr.rewrites(), 2u);
   EXPECT_EQ(tr.stable_id(), lineage);
 
-  // Copies are a fresh lineage with fresh counters; moves keep both.
+  // Copies are a fresh lineage; moves keep it.
   Trace copy = tr;
   EXPECT_NE(copy.stable_id(), lineage);
-  EXPECT_EQ(copy.appends(), 0u);
-  EXPECT_EQ(copy.rewrites(), 0u);
   Trace moved = std::move(tr);
   EXPECT_EQ(moved.stable_id(), lineage);
-  EXPECT_EQ(moved.appends(), 2u);
-  EXPECT_EQ(moved.rewrites(), 2u);
 }
 
 TEST(Trace, IdentitiesAreSixtyFourBit) {
