@@ -90,8 +90,8 @@ void bench_service_feed_parked(benchmark::State& state) {
   state.counters["monitors"] = static_cast<double>(kFleet);
 }
 
-/// One state through a resident service with N monitors: epoch fan-out over
-/// the dirty shards, verdict-row assembly, and the caller's drain.
+/// One state through a resident service with N monitors: epoch fan-out (one
+/// work item per monitor), verdict-row assembly, and the caller's drain.
 void bench_service_resident_fleet(benchmark::State& state) {
   const std::size_t monitors = static_cast<std::size_t>(state.range(0));
   const Spec spec = monitored_spec();
@@ -113,7 +113,6 @@ void bench_service_resident_fleet(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["monitors"] = static_cast<double>(monitors);
-  state.counters["shards"] = static_cast<double>(service.shards());
 }
 
 /// Pinned: every iteration appends to the same resident monitors, so the

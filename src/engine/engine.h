@@ -54,16 +54,16 @@ struct Options {
   /// std::thread::hardware_concurrency().  A batch never fans out wider than
   /// its number of jobs, and batches of at most one job run inline on the
   /// calling thread.  Parallelism is across jobs only: each check or
-  /// decision runs start to finish on one thread.
+  /// decision runs start to finish on one thread.  When the resolved count
+  /// exceeds 1, ParkedPool::run() also enlists its caller, so a fan-out
+  /// with more jobs than workers runs on up to num_threads + 1 threads (in
+  /// the MonitorService the extra thread is the coordinator).
   std::size_t num_threads = 0;
 
   /// MonitorService only: bounded ingest-queue depth.  append() blocks (and
   /// try_append() reports QueueFull) while this many commands are pending —
   /// backpressure instead of unbounded buffering.  Must be >= 1.
   std::size_t queue_capacity = 1024;
-
-  /// MonitorService only: number of monitor shards; 0 means one per worker.
-  std::size_t num_shards = 0;
 
   /// MonitorService only: how many queued Append commands the coordinator
   /// may fold into one multi-state epoch (one pool wake and one
@@ -115,9 +115,10 @@ struct CheckStats {
   std::size_t axioms_failed = 0;
 };
 
-/// Streaming-fleet counters (per shard inside MonitorService, and summed
-/// over shards in ServiceStats::totals): the monitors' settled caches summed
-/// into memo_*, their obligation graphs into obligation_*.
+/// Streaming-fleet counters (MonitorService's ServiceStats::totals, summed
+/// over the fleet and rendered by dump() under `fleet.`): the monitors'
+/// settled caches summed into memo_*, their obligation graphs into
+/// obligation_*.
 struct StreamStats {
   std::size_t monitors = 0;  ///< resident monitors
   std::size_t threads = 0;   ///< pool workers serving the fleet (0 = inline)

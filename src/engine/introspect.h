@@ -6,8 +6,9 @@
 // `^[a-z0-9_.]+ [0-9]+$`, and tests/test_monitor_service.cpp pins it with a
 // golden dump.
 //
-// The source is the per-shard StreamStats snapshot (engine.h), which
-// MonitorService::dump() renders once per shard under `shardN.`.
+// The source is the fleet's StreamStats snapshot (engine.h,
+// ServiceStats::totals), which MonitorService::dump() renders under
+// `fleet.`.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@ class KvWriter {
   std::string prefix_;
 };
 
-/// Renders a shard's stream counters (fixed key order, one key per field).
+/// Renders a fleet's stream counters (fixed key order, one key per field).
 void dump_counters(KvWriter kv, const StreamStats& stats);
 
 }  // namespace il::engine

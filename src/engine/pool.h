@@ -86,7 +86,7 @@ class ParkedPool {
     if (count == 1) {
       // Single work item: publishing a context just wakes workers to lose
       // the claim race.  Run inline — same order, same error contract — so
-      // e.g. a service epoch touching one dirty shard costs no wake at all.
+      // e.g. a service epoch advancing one monitor costs no wake at all.
       body(0);
       return;
     }

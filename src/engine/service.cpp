@@ -30,84 +30,40 @@ struct MonitorService::Command {
   Env env;                ///< Register
 };
 
-/// Monitors live in the shard owning their id (id % shards).  The shard
-/// mutex covers the slot vector and the counters, so a dump_shard() between
-/// epochs reads one consistent snapshot.
-///
-/// Slots are id-ascending by construction: ids are minted monotonically and
-/// Register commands apply in queue (= mint) order.  retire() tombstones
-/// the slot in place (binary search by id) instead of erasing, so the
-/// vector never shifts under an id lookup; once tombstones exceed 1/4 of
-/// the slots the vector is compacted in one sweep (retired_compactions).
-struct MonitorService::Shard {
-  /// Slot lifecycle.  Retired slots are tombstones awaiting the compaction
-  /// sweep and drop out of every epoch plan.  Quarantined slots also hold
-  /// no monitor, but they stay in the plan — their row slots render
-  /// Verdict::Faulted — and may be reinstate()d.
-  enum class SlotState : std::uint8_t { Active, Quarantined, Retired };
+/// Slot lifecycle.  Retired slots are tombstones awaiting the compaction
+/// sweep and drop out of every epoch plan.  Quarantined slots also hold no
+/// monitor, but they stay in the plan — their row slots render
+/// Verdict::Faulted — and may be reinstate()d.
+enum class MonitorService::SlotState : std::uint8_t { Active, Quarantined, Retired };
 
-  struct Slot {
-    MonitorId id = 0;
-    StreamId stream = kDefaultStream;
-    std::unique_ptr<Monitor> monitor;  ///< null unless Active
-    SlotState state = SlotState::Active;
-    // Registration-time inputs, kept so reinstate() rebuilds the monitor
-    // from scratch after its stores were freed by the quarantine.
-    Spec spec;
-    Env env;
-    std::exception_ptr fault;  ///< set while Quarantined
-    std::uint32_t faults = 0;  ///< quarantine events on this slot, lifetime
-    /// States of the slot's stream applied since the last fault — the
-    /// deterministic backoff clock gating reinstate().
-    std::uint64_t states_since_fault = 0;
-  };
+/// One row of the monitor table.  The table is id-ascending by
+/// construction: ids are minted monotonically and Register commands apply
+/// in queue (= mint) order.  retire() tombstones the slot in place (binary
+/// search by id) instead of erasing, so the table never shifts under an id
+/// lookup; once tombstones exceed 1/4 of the slots the table is compacted
+/// in one sweep (retired_compactions).
+struct MonitorService::Slot {
+  MonitorId id = 0;
+  StreamId stream = kDefaultStream;
+  std::unique_ptr<Monitor> monitor;  ///< null unless Active
+  SlotState state = SlotState::Active;
+  // Registration-time inputs, kept so reinstate() rebuilds the monitor
+  // from scratch after its stores were freed by the quarantine.
+  Spec spec;
+  Env env;
+  std::exception_ptr fault;  ///< set while Quarantined
+  std::uint32_t faults = 0;  ///< quarantine events on this slot, lifetime
+  /// States of the slot's stream applied since the last fault — the
+  /// deterministic backoff clock gating reinstate().
+  std::uint64_t states_since_fault = 0;
 
-  mutable std::mutex mu;
-  std::vector<Slot> monitors;  ///< id order = deterministic row order
-  std::size_t live = 0;        ///< slots with a resident monitor
-  std::size_t tombstones = 0;
-  std::size_t retired_compactions = 0;  ///< tombstone sweeps, lifetime
-  std::size_t quarantined = 0;  ///< slots in SlotState::Quarantined (gauge)
-  std::size_t quarantines = 0;  ///< quarantine events, lifetime
-  std::size_t budget_quarantines = 0;  ///< over the byte budget
-
-  // Stream counters (lifetime; survive retirement).
-  std::size_t states = 0;
-  std::size_t verdicts = 0;
-  std::size_t axioms_checked = 0;
-  std::size_t axioms_failed = 0;
-
-  // Lifetime cache/graph counters inherited from retired monitors, so the
-  // shard's hit/miss history is monotone while the resident entries
-  // (gauges) drop to zero with the retirement.
-  std::size_t retired_memo_hits = 0;
-  std::size_t retired_memo_misses = 0;
-  std::size_t retired_memo_inserts = 0;
-  std::size_t retired_obligation_dirtied = 0;
-  std::size_t retired_obligation_recomputed = 0;
-
-  /// Builds the slot's Monitor from its registration inputs — the
+  /// Builds the Monitor from the registration inputs — the
   /// "service.register" fault site, shared by Register and Reinstate.
   /// Throws if the spec fails to build; the slot is then left without one.
-  static void build_monitor(Slot& slot) {
-    IL_FAULT_SCOPE(slot.id);
+  void build_monitor() {
+    IL_FAULT_SCOPE(id);
     IL_INJECT_FAULT("service.register");
-    slot.monitor = std::make_unique<Monitor>(slot.spec, slot.env);
-  }
-
-  /// Folds the slot's monitor's lifetime cache/graph counters into the
-  /// retired_* accumulators, then frees the monitor (its obligation graph
-  /// and settled cache).  The counters stay monotone while the resident
-  /// gauges drop with the freed stores.  Caller holds mu.
-  void release_monitor(Slot& slot) {
-    const EvalCache& c = slot.monitor->cache();
-    retired_memo_hits += c.hits();
-    retired_memo_misses += c.misses();
-    retired_memo_inserts += c.inserts();
-    const ObligationGraph& g = slot.monitor->obligations();
-    retired_obligation_dirtied += g.total_dirtied();
-    retired_obligation_recomputed += g.recomputes();
-    slot.monitor.reset();
+    monitor = std::make_unique<Monitor>(spec, env);
   }
 };
 
@@ -116,10 +72,6 @@ MonitorService::MonitorService(Options options) : options_(options) {
   IL_REQUIRE(options_.max_epoch_batch >= 1, "MonitorService needs max_epoch_batch >= 1");
   max_batch_ = options_.max_epoch_batch;
   const std::size_t threads = detail::effective_pool(~std::size_t{0}, options_.num_threads);
-  std::size_t shards = options_.num_shards;
-  if (shards == 0) shards = threads;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
   streams_.push_back(StreamInfo{"default", 0});
   if (threads > 1) pool_ = std::make_unique<detail::ParkedPool>(threads);
   coordinator_ = std::thread([this]() { coordinator_loop(); });
@@ -364,47 +316,45 @@ void MonitorService::coordinator_loop() {
 
 void MonitorService::apply_barrier(Command& cmd) {
   if (cmd.kind == Command::Kind::Register) {
-    Shard& sh = *shards_[cmd.id % shards_.size()];
-    Shard::Slot slot;
+    Slot slot;
     slot.id = cmd.id;
     slot.stream = cmd.stream;
     slot.spec = std::move(cmd.spec);
     slot.env = std::move(cmd.env);
     try {
-      Shard::build_monitor(slot);
+      slot.build_monitor();
     } catch (...) {
       // Quarantined at birth: the spec failed to build.  The slot still
       // exists — its row slots render Faulted, and reinstate() may retry
       // the build later — and nothing else about the fleet changes.
-      slot.state = Shard::SlotState::Quarantined;
+      slot.state = SlotState::Quarantined;
       slot.fault = std::current_exception();
       slot.faults = 1;
     }
-    const bool born_quarantined = slot.state == Shard::SlotState::Quarantined;
-    std::lock_guard<std::mutex> lock(sh.mu);
-    // Ids are minted monotonically and applied in mint order: push_back
-    // keeps the vector id-ascending.
-    sh.monitors.push_back(std::move(slot));
-    if (born_quarantined) {
-      ++sh.quarantined;
-      ++sh.quarantines;
+    std::lock_guard<std::mutex> lock(fleet_mu_);
+    if (slot.state == SlotState::Quarantined) {
+      ++quarantined_;
+      ++quarantines_;
     } else {
-      ++sh.live;
+      ++live_;
     }
+    // Ids are minted monotonically and applied in mint order: push_back
+    // keeps the table id-ascending.
+    slots_.push_back(std::move(slot));
     return;
   }
+  const auto find = [&]() {
+    return std::lower_bound(slots_.begin(), slots_.end(), cmd.id,
+                            [](const Slot& slot, MonitorId id) { return slot.id < id; });
+  };
   if (cmd.kind == Command::Kind::Reinstate) {
-    Shard& sh = *shards_[cmd.id % shards_.size()];
     enum class Outcome : std::uint8_t { Miss, Refused, Reinstated, Requarantined };
     Outcome outcome = Outcome::Miss;
     {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      auto it = std::lower_bound(
-          sh.monitors.begin(), sh.monitors.end(), cmd.id,
-          [](const Shard::Slot& slot, MonitorId id) { return slot.id < id; });
-      if (it != sh.monitors.end() && it->id == cmd.id &&
-          it->state == Shard::SlotState::Quarantined) {
-        Shard::Slot& slot = *it;
+      std::lock_guard<std::mutex> lock(fleet_mu_);
+      const auto it = find();
+      if (it != slots_.end() && it->id == cmd.id && it->state == SlotState::Quarantined) {
+        Slot& slot = *it;
         // Backoff gate: after the k-th fault the monitor must have sat out
         // 2^(k-1) states of its stream (capped at 2^16), and the retry
         // budget must not be exhausted.
@@ -415,12 +365,12 @@ void MonitorService::apply_barrier(Command& cmd) {
           outcome = Outcome::Refused;
         } else {
           try {
-            Shard::build_monitor(slot);
-            slot.state = Shard::SlotState::Active;
+            slot.build_monitor();
+            slot.state = SlotState::Active;
             slot.fault = nullptr;
             slot.states_since_fault = 0;
-            ++sh.live;
-            --sh.quarantined;
+            ++live_;
+            --quarantined_;
             outcome = Outcome::Reinstated;
           } catch (...) {
             // The rebuild itself failed: stay quarantined with the new
@@ -428,7 +378,7 @@ void MonitorService::apply_barrier(Command& cmd) {
             slot.fault = std::current_exception();
             ++slot.faults;
             slot.states_since_fault = 0;
-            ++sh.quarantines;
+            ++quarantines_;
             outcome = Outcome::Requarantined;
           }
         }
@@ -444,37 +394,32 @@ void MonitorService::apply_barrier(Command& cmd) {
     return;
   }
   IL_CHECK(cmd.kind == Command::Kind::Retire);
-  Shard& sh = *shards_[cmd.id % shards_.size()];
   bool found = false;
   {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = std::lower_bound(
-        sh.monitors.begin(), sh.monitors.end(), cmd.id,
-        [](const Shard::Slot& slot, MonitorId id) { return slot.id < id; });
-    if (it != sh.monitors.end() && it->id == cmd.id &&
-        it->state != Shard::SlotState::Retired) {
+    std::lock_guard<std::mutex> lock(fleet_mu_);
+    const auto it = find();
+    if (it != slots_.end() && it->id == cmd.id && it->state != SlotState::Retired) {
       found = true;
-      if (it->state == Shard::SlotState::Active) {
-        sh.release_monitor(*it);  // tombstone: ranks/lookups stay stable
-        --sh.live;
+      if (it->state == SlotState::Active) {
+        release_monitor_locked(*it);  // tombstone: ranks/lookups stay stable
+        --live_;
       } else {
         // Quarantined: stores already freed and counters already folded.
-        --sh.quarantined;
+        --quarantined_;
       }
-      it->state = Shard::SlotState::Retired;
+      it->state = SlotState::Retired;
       it->fault = nullptr;
-      ++sh.tombstones;
-      if (sh.tombstones * 4 > sh.monitors.size()) {
+      ++tombstones_;
+      if (tombstones_ * 4 > slots_.size()) {
         // Retired fraction exceeds 1/4: sweep the tombstones so a
         // retire-heavy fleet does not hold dead slots forever.
-        sh.monitors.erase(
-            std::remove_if(sh.monitors.begin(), sh.monitors.end(),
-                           [](const Shard::Slot& slot) {
-                             return slot.state == Shard::SlotState::Retired;
-                           }),
-            sh.monitors.end());
-        sh.tombstones = 0;
-        ++sh.retired_compactions;
+        slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                                    [](const Slot& slot) {
+                                      return slot.state == SlotState::Retired;
+                                    }),
+                     slots_.end());
+        tombstones_ = 0;
+        ++retired_compactions_;
       }
     }
   }
@@ -487,17 +432,26 @@ void MonitorService::apply_barrier(Command& cmd) {
   }
 }
 
-void MonitorService::quarantine_slot_locked(Shard& sh, std::size_t slot_index,
-                                            std::exception_ptr fault) {
-  Shard::Slot& slot = sh.monitors[slot_index];
-  sh.release_monitor(slot);  // the retire path's accounting
-  slot.state = Shard::SlotState::Quarantined;
+void MonitorService::release_monitor_locked(Slot& slot) {
+  const EvalCache& c = slot.monitor->cache();
+  lifetime_.memo_hits += c.hits();
+  lifetime_.memo_misses += c.misses();
+  lifetime_.memo_inserts += c.inserts();
+  const ObligationGraph& g = slot.monitor->obligations();
+  lifetime_.obligation_dirtied += g.total_dirtied();
+  lifetime_.obligation_recomputed += g.recomputes();
+  slot.monitor.reset();
+}
+
+void MonitorService::quarantine_locked(Slot& slot, std::exception_ptr fault) {
+  release_monitor_locked(slot);  // the retire path's accounting
+  slot.state = SlotState::Quarantined;
   slot.fault = std::move(fault);
   ++slot.faults;
   slot.states_since_fault = 0;
-  --sh.live;
-  ++sh.quarantined;
-  ++sh.quarantines;
+  --live_;
+  ++quarantined_;
+  ++quarantines_;
 }
 
 void MonitorService::run_epoch_batch(std::vector<Command>& block) {
@@ -526,170 +480,123 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
     for (const std::size_t j : positions[si]) sub_block[si].push_back(&block[j].state);
   }
 
-  // Membership snapshot and row-slot ranks.  Only the coordinator mutates
-  // shard membership (Register/Retire are barriers applied on this thread),
-  // so the slot vectors can be read without the shard locks here; the
-  // ranks fix each monitor's verdict slot in every row of its stream, so
-  // the shard tasks below write disjoint slots concurrently and no
-  // post-epoch sort is needed.
-  struct WorkItem {
-    std::size_t slot = 0;  ///< index into the shard's monitor vector
-    std::size_t si = 0;    ///< batch stream index
-    std::size_t rank = 0;  ///< id-ascending rank within the stream
-  };
-  struct Candidate {
-    MonitorId id;
-    std::size_t shard;
-    std::size_t slot;
-    std::size_t si;
-  };
-  std::vector<Candidate> candidates;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& sh = *shards_[i];
-    for (std::size_t k = 0; k < sh.monitors.size(); ++k) {
-      const Shard::Slot& slot = sh.monitors[k];
-      // Quarantined slots stay in the plan: they hold their rank and their
-      // row slots render Faulted, so every *other* monitor's verdict stream
-      // is bit-identical to a fleet that never contained the faulty spec.
-      if (slot.state == Shard::SlotState::Retired) continue;
+  std::vector<VerdictRow> rows(nstates);
+  {
+    std::lock_guard<std::mutex> lock(fleet_mu_);
+
+    // Plan: one pass over the id-ordered table.  Ids ascend, so a running
+    // per-stream counter is each subscribed slot's rank — its verdict slot
+    // in every row of its stream.  Quarantined slots stay in the plan: they
+    // hold their rank and their row slots render Faulted, so every *other*
+    // monitor's verdict stream is bit-identical to a fleet that never
+    // contained the faulty spec.  The Active slots are the work items.
+    struct Planned {
+      Slot* slot;
+      std::size_t si;    ///< batch stream index
+      std::size_t rank;  ///< id-ascending rank within the stream
+    };
+    std::vector<Planned> plan;
+    std::vector<std::size_t> items;  ///< plan indices of the Active slots
+    std::vector<std::size_t> stream_live(batch_streams.size(), 0);
+    for (Slot& slot : slots_) {
+      if (slot.state == SlotState::Retired) continue;
       for (std::size_t si = 0; si < batch_streams.size(); ++si) {
-        if (batch_streams[si] == slot.stream) {
-          candidates.push_back(Candidate{slot.id, i, k, si});
-          break;
-        }
+        if (batch_streams[si] != slot.stream) continue;
+        if (slot.state == SlotState::Active) items.push_back(plan.size());
+        plan.push_back(Planned{&slot, si, stream_live[si]++});
+        break;
       }
     }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
-  std::vector<std::size_t> stream_live(batch_streams.size(), 0);
-  std::vector<std::vector<WorkItem>> plan(shards_.size());
-  for (const Candidate& c : candidates) {
-    plan[c.shard].push_back(WorkItem{c.slot, c.si, stream_live[c.si]++});
-  }
+    for (std::size_t j = 0; j < nstates; ++j) {
+      rows[j].stream = block[j].stream;
+      rows[j].seq = block[j].seq;
+      rows[j].verdicts.resize(stream_live[stream_of[j]]);
+    }
 
-  std::vector<VerdictRow> rows(nstates);
-  for (std::size_t j = 0; j < nstates; ++j) {
-    rows[j].stream = block[j].stream;
-    rows[j].seq = block[j].seq;
-    rows[j].verdicts.resize(stream_live[stream_of[j]]);
-  }
-
-  // One work item per *dirty* shard: a shard with no monitor on any of the
-  // block's streams is never locked, never woken for, never touched.
-  std::vector<std::size_t> dirty;
-  dirty.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!plan[i].empty()) dirty.push_back(i);
-  }
-
-  const std::size_t budget = options_.obligation_byte_budget;
-  // Fault payloads are collected per dirty shard and folded into the rows
-  // after the epoch: the shard tasks keep writing disjoint preassigned row
-  // slots, and the (rare) exception_ptr traffic stays off the healthy path.
-  struct FaultMark {
-    std::size_t row;      ///< index into rows
-    std::uint32_t rank;   ///< index into that row's verdicts
-    std::exception_ptr fault;
-  };
-  std::vector<std::vector<FaultMark>> marks(dirty.size());
-  const auto body = [&](std::size_t k) {
-    Shard& sh = *shards_[dirty[k]];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    std::vector<CheckResult> column;
-    std::vector<char> touched(batch_streams.size(), 0);
-    // Fills every row slot of a (possibly mid-block) faulted monitor.
-    const auto emit_faulted = [&](const Shard::Slot& slot, const WorkItem& w,
-                                  std::size_t count) {
-      for (std::size_t t = 0; t < count; ++t) {
-        ServiceVerdict& v = rows[positions[w.si][t]].verdicts[w.rank];
-        v.id = slot.id;
-        v.result.ok = false;
-        marks[k].push_back(FaultMark{positions[w.si][t],
-                                     static_cast<std::uint32_t>(w.rank),
-                                     slot.fault});
-      }
-      sh.verdicts += count;
+    // Fan-out: one work item per Active monitor.  An item writes only its
+    // monitor's preassigned row slots and its own outcome — no lock, no
+    // shared counter; the fold below does all the bookkeeping.
+    struct Outcome {
+      std::exception_ptr fault;  ///< append_block threw: quarantine
+      std::size_t axioms_failed = 0;
+      bool over_budget = false;  ///< footprint over obligation_byte_budget
     };
-    for (const WorkItem& w : plan[dirty[k]]) {
-      Shard::Slot& slot = sh.monitors[w.slot];
-      const std::vector<const State*>& states = sub_block[w.si];
-      touched[w.si] = 1;
-      if (slot.state == Shard::SlotState::Quarantined) {
-        // The stream advances without the monitor: tick the backoff clock
-        // and render the slot's rows as Faulted.
-        slot.states_since_fault += states.size();
-        emit_faulted(slot, w, states.size());
-        continue;
-      }
-      column.clear();
-      column.resize(states.size());
-      bool threw = false;
+    std::vector<Outcome> outcomes(items.size());
+    const std::size_t budget = options_.obligation_byte_budget;
+    const auto body = [&](std::size_t k) {
+      const Planned& p = plan[items[k]];
+      Monitor& monitor = *p.slot->monitor;
+      const std::vector<const State*>& states = sub_block[p.si];
+      std::vector<CheckResult> column(states.size());
       {
         // Scope injected faults to this monitor's id, so a site armed with
         // key == MonitorId fires deterministically at any pool width.
-        IL_FAULT_SCOPE(slot.id);
+        IL_FAULT_SCOPE(p.slot->id);
         try {
           // The whole sub-block in one call: one begin_epoch() pass, one
           // settled-cache pass, per-state verdicts at virtual horizons.
-          slot.monitor->append_block(states.data(), states.size(), column.data());
+          monitor.append_block(states.data(), states.size(), column.data());
         } catch (...) {
           // Per-monitor fault isolation: the throw stops at the epoch
-          // boundary.  Free the stores, park the fault, render the whole
-          // failing block Faulted — nobody else notices.
-          threw = true;
-          quarantine_slot_locked(sh, w.slot, std::current_exception());
+          // boundary and the fold quarantines the monitor.
+          outcomes[k].fault = std::current_exception();
+          return;
         }
       }
-      if (threw) {
-        emit_faulted(slot, w, states.size());
-        continue;
-      }
       for (std::size_t t = 0; t < states.size(); ++t) {
-        sh.axioms_failed += column[t].failed.size();
+        outcomes[k].axioms_failed += column[t].failed.size();
         // In place: the slot was value-initialized by the row build, so
         // only id/result need stores and no temporary is built.
-        ServiceVerdict& v = rows[positions[w.si][t]].verdicts[w.rank];
-        v.id = slot.id;
+        ServiceVerdict& v = rows[positions[p.si][t]].verdicts[p.rank];
+        v.id = p.slot->id;
         v.result = std::move(column[t]);
       }
-      sh.axioms_checked += slot.monitor->spec().all().size() * states.size();
-      sh.verdicts += states.size();
       // Byte budget: each verdict pass ended by freeing the records no
-      // open record reads, so the footprint is the live set and a monitor
-      // over budget is quarantined.  The rows of this epoch are already
-      // written, so the quarantine applies from the next epoch on.
-      if (budget != 0 && slot.monitor->footprint_bytes() > budget) {
-        quarantine_slot_locked(sh, w.slot,
-                               std::make_exception_ptr(std::runtime_error(
-                                   "monitor exceeded obligation_byte_budget")));
-        ++sh.budget_quarantines;
-      }
+      // open record reads, so the footprint is the live set.
+      outcomes[k].over_budget = budget != 0 && monitor.footprint_bytes() > budget;
+    };
+    if (pool_ != nullptr) {
+      pool_->run(items.size(), body);
+    } else {
+      for (std::size_t k = 0; k < items.size(); ++k) body(k);
     }
-    for (std::size_t si = 0; si < batch_streams.size(); ++si) {
-      if (touched[si]) sh.states += sub_block[si].size();
-    }
-  };
-  if (pool_ != nullptr && dirty.size() > 1) {
-    pool_->run(dirty.size(), body);
-  } else {
-    // Inline: in-order execution, so the first throw is the lowest index —
-    // the same contract the pool provides.
-    for (std::size_t k = 0; k < dirty.size(); ++k) body(k);
-  }
 
-  // Fold the per-shard fault marks into their rows, then order each touched
-  // row's payloads rank-ascending so drain() output is independent of shard
-  // layout and pool width.
-  for (std::vector<FaultMark>& list : marks) {
-    for (FaultMark& m : list) {
-      rows[m.row].faults.emplace_back(m.rank, std::move(m.fault));
-    }
-  }
-  for (VerdictRow& row : rows) {
-    if (row.faults.size() > 1) {
-      std::sort(row.faults.begin(), row.faults.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Fold, in id order.  Within a stream that is rank order, so every
+    // row's fault payloads come out index-ascending without a sort.
+    std::size_t next_item = 0;
+    for (const Planned& p : plan) {
+      Slot& slot = *p.slot;
+      const std::size_t count = sub_block[p.si].size();
+      lifetime_.verdicts += count;
+      if (slot.state == SlotState::Active) {
+        Outcome& outcome = outcomes[next_item++];
+        if (outcome.fault == nullptr) {
+          lifetime_.axioms_failed += outcome.axioms_failed;
+          lifetime_.axioms_checked += slot.monitor->spec().all().size() * count;
+          if (outcome.over_budget) {
+            // The rows of this epoch are already written, so the
+            // quarantine applies from the next epoch on.
+            quarantine_locked(slot, std::make_exception_ptr(std::runtime_error(
+                                        "monitor exceeded obligation_byte_budget")));
+            ++budget_quarantines_;
+          }
+          continue;
+        }
+        // Free the stores, park the fault, render the whole failing block
+        // Faulted — nobody else notices.
+        quarantine_locked(slot, std::move(outcome.fault));
+      } else {
+        // Quarantined in an earlier epoch: the stream advances without the
+        // monitor, so tick the backoff clock.
+        slot.states_since_fault += count;
+      }
+      for (std::size_t t = 0; t < count; ++t) {
+        VerdictRow& row = rows[positions[p.si][t]];
+        ServiceVerdict& v = row.verdicts[p.rank];
+        v.id = slot.id;
+        v.result.ok = false;
+        row.faults.emplace_back(static_cast<std::uint32_t>(p.rank), slot.fault);
+      }
     }
   }
 
@@ -702,57 +609,8 @@ void MonitorService::run_epoch_batch(std::vector<Command>& block) {
 // Introspection.
 // ---------------------------------------------------------------------------
 
-StreamStats MonitorService::shard_stats_locked(const Shard& sh) const {
-  StreamStats out;
-  out.monitors = sh.live;
-  out.threads = threads();
-  out.states = sh.states;
-  out.verdicts = sh.verdicts;
-  out.axioms_checked = sh.axioms_checked;
-  out.axioms_failed = sh.axioms_failed;
-  out.memo_hits = sh.retired_memo_hits;
-  out.memo_misses = sh.retired_memo_misses;
-  out.memo_inserts = sh.retired_memo_inserts;
-  out.obligation_dirtied = sh.retired_obligation_dirtied;
-  out.obligation_recomputed = sh.retired_obligation_recomputed;
-  for (const Shard::Slot& slot : sh.monitors) {
-    if (slot.monitor == nullptr) continue;
-    const EvalCache& c = slot.monitor->cache();
-    out.memo_hits += c.hits();
-    out.memo_misses += c.misses();
-    out.memo_inserts += c.inserts();
-    out.memo_entries += c.size();
-    out.memo_bytes += c.bytes();
-    const ObligationGraph& g = slot.monitor->obligations();
-    out.obligation_entries += g.size();
-    out.obligation_settled += g.settled_count();
-    out.obligation_open += g.open_count();
-    out.obligation_edges += g.edges();
-    out.obligation_bytes += g.bytes();
-    out.obligation_dirtied += g.total_dirtied();
-    out.obligation_recomputed += g.recomputes();
-    out.obligation_index_nodes += g.index_nodes();
-    out.obligation_index_stabs += g.epoch();
-    out.obligation_index_visited += g.touched_total();
-    out.obligation_index_touched += g.touched_total();
-    out.gc_sweeps += g.gc_sweeps();
-    out.gc_freed += g.gc_freed();
-    out.gc_freed_bytes += g.gc_freed_bytes();
-    out.gc_orphans += g.orphan_unlinks();
-  }
-  return out;
-}
-
-StreamStats MonitorService::shard_stats(std::size_t shard) const {
-  IL_REQUIRE(shard < shards_.size(), "shard index out of range");
-  const Shard& sh = *shards_[shard];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  return shard_stats_locked(sh);
-}
-
 ServiceStats MonitorService::stats() const {
   ServiceStats out;
-  out.shards = shards_.size();
   out.threads = threads();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -778,43 +636,41 @@ ServiceStats MonitorService::stats() const {
     std::lock_guard<std::mutex> lock(out_mu_);
     out.rows_pending = rows_.size();
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& sh = *shards_[i];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    const StreamStats ss = shard_stats_locked(sh);
-    out.retired_compactions += sh.retired_compactions;
-    out.monitors_quarantined += sh.quarantined;
-    out.quarantines += sh.quarantines;
-    out.budget_quarantines += sh.budget_quarantines;
-    out.totals.monitors += ss.monitors;
-    out.totals.verdicts += ss.verdicts;
-    out.totals.axioms_checked += ss.axioms_checked;
-    out.totals.axioms_failed += ss.axioms_failed;
-    out.totals.memo_hits += ss.memo_hits;
-    out.totals.memo_misses += ss.memo_misses;
-    out.totals.memo_inserts += ss.memo_inserts;
-    out.totals.memo_entries += ss.memo_entries;
-    out.totals.memo_bytes += ss.memo_bytes;
-    out.totals.obligation_entries += ss.obligation_entries;
-    out.totals.obligation_settled += ss.obligation_settled;
-    out.totals.obligation_open += ss.obligation_open;
-    out.totals.obligation_edges += ss.obligation_edges;
-    out.totals.obligation_bytes += ss.obligation_bytes;
-    out.totals.obligation_dirtied += ss.obligation_dirtied;
-    out.totals.obligation_recomputed += ss.obligation_recomputed;
-    out.totals.obligation_index_nodes += ss.obligation_index_nodes;
-    out.totals.obligation_index_stabs += ss.obligation_index_stabs;
-    out.totals.obligation_index_visited += ss.obligation_index_visited;
-    out.totals.obligation_index_touched += ss.obligation_index_touched;
-    out.totals.gc_sweeps += ss.gc_sweeps;
-    out.totals.gc_freed += ss.gc_freed;
-    out.totals.gc_freed_bytes += ss.gc_freed_bytes;
-    out.totals.gc_orphans += ss.gc_orphans;
+  std::lock_guard<std::mutex> lock(fleet_mu_);
+  out.retired_compactions = retired_compactions_;
+  out.monitors_quarantined = quarantined_;
+  out.quarantines = quarantines_;
+  out.budget_quarantines = budget_quarantines_;
+  StreamStats& t = out.totals;
+  t = lifetime_;
+  t.monitors = live_;
+  t.threads = out.threads;
+  t.states = out.states_applied;
+  for (const Slot& slot : slots_) {
+    if (slot.monitor == nullptr) continue;
+    const EvalCache& c = slot.monitor->cache();
+    t.memo_hits += c.hits();
+    t.memo_misses += c.misses();
+    t.memo_inserts += c.inserts();
+    t.memo_entries += c.size();
+    t.memo_bytes += c.bytes();
+    const ObligationGraph& g = slot.monitor->obligations();
+    t.obligation_entries += g.size();
+    t.obligation_settled += g.settled_count();
+    t.obligation_open += g.open_count();
+    t.obligation_edges += g.edges();
+    t.obligation_bytes += g.bytes();
+    t.obligation_dirtied += g.total_dirtied();
+    t.obligation_recomputed += g.recomputes();
+    t.obligation_index_nodes += g.index_nodes();
+    t.obligation_index_stabs += g.epoch();
+    t.obligation_index_visited += g.touched_total();
+    t.obligation_index_touched += g.touched_total();
+    t.gc_sweeps += g.gc_sweeps();
+    t.gc_freed += g.gc_freed();
+    t.gc_freed_bytes += g.gc_freed_bytes();
+    t.gc_orphans += g.orphan_unlinks();
   }
-  // A shard's `states` gauge counts the states that actually touched it, so
-  // the fleet-level figure is the service's own applied count.
-  out.totals.threads = out.threads;
-  out.totals.states = out.states_applied;
   return out;
 }
 
@@ -822,7 +678,6 @@ void MonitorService::dump(std::ostream& os) const {
   const ServiceStats s = stats();
   KvWriter kv(os);
   KvWriter service = kv.scoped("service");
-  service.emit("shards", s.shards);
   service.emit("threads", s.threads);
   service.emit("streams", s.streams);
   service.emit("queue_capacity", s.queue_capacity);
@@ -844,22 +699,7 @@ void MonitorService::dump(std::ostream& os) const {
   service.emit("reinstate_misses", s.reinstate_misses);
   service.emit("reinstate_refused", s.reinstate_refused);
   service.emit("budget_quarantines", s.budget_quarantines);
-  for (std::size_t i = 0; i < shards_.size(); ++i) dump_shard(i, os);
-}
-
-void MonitorService::dump_shard(std::size_t shard, std::ostream& os) const {
-  IL_REQUIRE(shard < shards_.size(), "shard index out of range");
-  const Shard& sh = *shards_[shard];
-  // One lock for the whole section: a shard dump is a consistent snapshot
-  // taken between epochs touching this shard.
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const StreamStats ss = shard_stats_locked(sh);
-  KvWriter kv(os, "shard" + std::to_string(shard) + ".");
-  dump_counters(kv, ss);
-  kv.emit("retired_compactions", sh.retired_compactions);
-  kv.emit("quarantined", sh.quarantined);
-  kv.emit("quarantines", sh.quarantines);
-  kv.emit("budget_quarantines", sh.budget_quarantines);
+  dump_counters(kv.scoped("fleet"), s.totals);
 }
 
 }  // namespace engine

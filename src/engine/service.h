@@ -24,52 +24,55 @@
 //   settled-cache entries.  Both are sequenced through the same command
 //   queue as appends, so a monitor observes exactly the states appended
 //   after its registration and before its retirement — the interleaving is
-//   the caller's call order, deterministically.  Retirement tombstones the
-//   monitor's shard slot; a shard whose tombstones exceed 1/4 of its slots
-//   is compacted (shardN.retired_compactions counts the sweeps), so a
-//   retire-heavy fleet does not leak slots.
+//   the caller's call order, deterministically.  Every monitor lives in one
+//   id-ordered table; retirement tombstones its slot, and once tombstones
+//   exceed 1/4 of the slots the table is compacted
+//   (service.retired_compactions counts the sweeps), so a retire-heavy
+//   fleet does not leak slots.
 //
 //   Evaluation — a coordinator thread drains the queue in *batched epochs*:
 //   it greedily folds consecutive queued Appends — any mix of streams, up
 //   to Options::max_epoch_batch — into one multi-state epoch; Register and
 //   Retire act as batch barriers (applied singly, so membership is fixed
-//   within a block).  The epoch fans one work item per *dirty* shard (a
-//   shard with no monitor on any of the block's streams is never touched)
-//   across a persistent *parked* worker pool (detail::ParkedPool,
-//   engine/pool.h), and each shard advances every subscribed monitor
-//   through its stream's whole sub-block in one Monitor::append_block call
-//   — one begin_epoch() invalidation pass and one settled-cache pass cover
-//   the block, which is what converts per-state coordinator overhead
-//   (wake + invalidate + drain x N) into per-batch overhead.
+//   within a block).  The epoch fans one work item per active monitor
+//   subscribed to the block's streams across a persistent *parked* worker
+//   pool (detail::ParkedPool, engine/pool.h), and each item advances its
+//   monitor through its stream's whole sub-block in one
+//   Monitor::append_block call — one begin_epoch() invalidation pass and
+//   one settled-cache pass cover the block, which is what converts
+//   per-state coordinator overhead (wake + invalidate + drain x N) into
+//   per-batch overhead.  All shared bookkeeping (counters, quarantines,
+//   fault payloads) happens afterwards, in one id-ordered pass on the
+//   coordinator.
 //
 //   Verdicts — every appended state produces one VerdictRow (stream, seq,
 //   and the per-monitor verdicts of that stream, ordered by MonitorId) into
 //   an output buffer the caller drains.  Rows are ingest-ordered by
-//   construction and bit-identical for any thread/shard count AND any
+//   construction and bit-identical for any thread count AND any
 //   max_epoch_batch (monitors are share-nothing; blocked evaluation uses
 //   virtual horizons, pinned against per-state epochs by the differential
 //   suite in tests/test_service_batch.cpp).  Row slots are pre-assigned by
-//   rank before the fan-out, so shard tasks write disjoint slots and no
+//   rank before the fan-out, so work items write disjoint slots and no
 //   post-epoch sort is needed.
 //
-//   Introspection — dump() / dump_shard() render every counter family as
-//   stable `key value` text (engine/introspect.h): service-level gauges
-//   (including queue_peak, epoch_batches, states_per_batch_max), then per
-//   shard the engine, eval-cache (memo.*), obligation-graph, tombstone and
-//   budget counters.  A shard dump is snapshot-consistent: all of its lines
-//   are read under the shard's mutex, between epochs touching that shard.
-//   Decision batches are not the service's concern: they run through
-//   BatchDecider (engine/decision.h).
+//   Introspection — dump() renders every counter family as stable
+//   `key value` text (engine/introspect.h): service-level gauges (including
+//   queue_peak, epoch_batches, states_per_batch_max), then the fleet's
+//   engine, eval-cache (memo.*), obligation-graph and GC counters under
+//   `fleet.`.  A dump is one snapshot of the whole fleet: the table is read
+//   under its lock, between epochs.  Decision batches are not the service's
+//   concern: they run through BatchDecider (engine/decision.h).
 //
 //   Fault isolation — a monitor whose evaluation throws is *quarantined*,
-//   not fatal: the throw is caught inside the shard task at the epoch
-//   boundary, the monitor's obligation graph and settled-cache entries are
-//   freed (the retire path's accounting), and the captured exception_ptr is
-//   parked on the slot.  Every row slot the monitor would have filled —
-//   including the whole failing block — renders as Verdict::Faulted carrying
-//   that exception; every *other* monitor's verdict stream is bit-identical
-//   to a fleet that never contained the faulty spec (pinned by
-//   tests/test_service_fault.cpp across batch/shard/thread sweeps).
+//   not fatal: the throw is caught inside the monitor's work item, and the
+//   coordinator's post-epoch pass frees the monitor's obligation graph and
+//   settled-cache entries (the retire path's accounting) and parks the
+//   captured exception_ptr on the slot.  Every row slot the monitor would
+//   have filled — including the whole failing block — renders as
+//   Verdict::Faulted carrying that exception; every *other* monitor's
+//   verdict stream is bit-identical to a fleet that never contained the
+//   faulty spec (pinned by tests/test_service_fault.cpp across batch/thread
+//   sweeps).
 //   reinstate() re-registers a quarantined monitor from its stored spec,
 //   gated by a capped exponential backoff (after its k-th fault the monitor
 //   must sit out 2^(k-1) states of its stream, capped at 2^16) and a retry
@@ -198,9 +201,12 @@ struct VerdictRow {
   }
 };
 
-/// Service-level gauges and counters (per-shard detail via shard_stats()).
+/// Service-level gauges and counters, plus the fleet's summed counters.
 struct ServiceStats {
-  std::size_t shards = 0;
+  /// Pool workers (1 = no pool, epochs run inline on the coordinator).
+  /// With a pool, the coordinator claims work items alongside the workers,
+  /// so an epoch with more items than workers runs on up to threads + 1
+  /// threads.
   std::size_t threads = 0;
   std::size_t streams = 0;  ///< open ingest streams (incl. the default)
   std::size_t queue_capacity = 0;
@@ -215,14 +221,14 @@ struct ServiceStats {
   std::size_t monitors_resident = 0;
   std::size_t monitors_retired = 0;
   std::size_t retire_misses = 0;  ///< retire() of an unknown/already-retired id
-  std::size_t retired_compactions = 0;  ///< tombstone sweeps, summed over shards
+  std::size_t retired_compactions = 0;  ///< tombstone sweeps of the table
   std::size_t monitors_quarantined = 0;  ///< quarantined right now (gauge)
   std::size_t quarantines = 0;  ///< quarantine events, lifetime
   std::size_t reinstates = 0;   ///< successful reinstate()s, lifetime
   std::size_t reinstate_misses = 0;   ///< reinstate() of unknown/active id
   std::size_t reinstate_refused = 0;  ///< refused by backoff or retry budget
   std::size_t budget_quarantines = 0;  ///< over the byte budget: quarantined
-  StreamStats totals;  ///< summed over shards
+  StreamStats totals;  ///< summed over the fleet
 };
 
 class MonitorService {
@@ -301,7 +307,6 @@ class MonitorService {
 
   // -- observation --------------------------------------------------------
 
-  std::size_t shards() const { return shards_.size(); }
   std::size_t threads() const;
   /// Resident (registered and not yet retired) monitors.  Counts a
   /// registration as soon as register_spec() returns, even while the
@@ -314,18 +319,19 @@ class MonitorService {
   /// never set this.
   bool poisoned() const;
 
+  /// Snapshot-consistent per lock: the fleet counters (retired_compactions,
+  /// the quarantine counters, totals) are read in one pass under the
+  /// table's lock, between epochs.
   ServiceStats stats() const;
-  /// Aggregate counters for one shard (snapshot-consistent).
-  StreamStats shard_stats(std::size_t shard) const;
 
-  /// The full debugfs-style text dump: service section, then every shard.
+  /// The full debugfs-style text dump: the service section, then the
+  /// `fleet.` section rendered from stats().totals.
   void dump(std::ostream& os) const;
-  /// One shard's section only — the per-shard text endpoint.
-  void dump_shard(std::size_t shard, std::ostream& os) const;
 
  private:
   struct Command;
-  struct Shard;
+  struct Slot;
+  enum class SlotState : std::uint8_t;
   struct StreamInfo {
     std::string name;
     std::uint64_t next_seq = 0;  ///< per-stream FIFO sequence
@@ -335,17 +341,34 @@ class MonitorService {
   void apply_barrier(Command& cmd);  ///< Register / Retire / Reinstate
   void run_epoch_batch(std::vector<Command>& block);  ///< Appends only
   void enqueue(Command cmd);  ///< blocks on backpressure; throws if poisoned
-  /// Frees the faulting monitor in sh.monitors[slot_index], folds its
-  /// lifetime counters into the shard accumulators (the retire path's
-  /// accounting), and parks `fault` on the slot.  Caller holds sh.mu.
-  void quarantine_slot_locked(Shard& sh, std::size_t slot_index,
-                              std::exception_ptr fault);
-  StreamStats shard_stats_locked(const Shard& sh) const;  ///< caller holds sh.mu
+  /// Folds the slot's monitor's lifetime cache/graph counters into
+  /// lifetime_, then frees the monitor (its obligation graph and settled
+  /// cache).  Caller holds fleet_mu_.
+  void release_monitor_locked(Slot& slot);
+  /// Frees the faulting monitor (release_monitor_locked) and parks `fault`
+  /// on the slot.  Caller holds fleet_mu_.
+  void quarantine_locked(Slot& slot, std::exception_ptr fault);
 
   Options options_;
   std::size_t max_batch_ = 1;  ///< resolved Options::max_epoch_batch
   std::unique_ptr<detail::ParkedPool> pool_;  ///< null = single worker, inline epochs
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  /// The monitor table.  Only the coordinator mutates it (barriers and
+  /// epochs); stats() and dump() read it.  Never nested with mu_ or out_mu_.
+  mutable std::mutex fleet_mu_;
+  std::vector<Slot> slots_;  ///< id order = deterministic row order
+  std::size_t live_ = 0;     ///< slots with a resident monitor
+  std::size_t tombstones_ = 0;
+  std::size_t retired_compactions_ = 0;  ///< tombstone sweeps, lifetime
+  std::size_t quarantined_ = 0;  ///< slots in SlotState::Quarantined (gauge)
+  std::size_t quarantines_ = 0;  ///< quarantine events, lifetime
+  std::size_t budget_quarantines_ = 0;  ///< over the byte budget
+  /// Lifetime counters that outlive their monitors: verdicts and axiom
+  /// counts of every epoch, and the memo_hits/misses/inserts and
+  /// obligation_dirtied/recomputed of released monitors, so the fleet's
+  /// history stays monotone while the resident gauges drop with them.
+  /// Every other field stays 0.
+  StreamStats lifetime_;
 
   mutable std::mutex mu_;  ///< queue + lifecycle state
   std::condition_variable queue_space_;  ///< waiters: append/register/retire

@@ -13,8 +13,8 @@
 //   Resident service      MonitorService / MonitorId / StreamId / VerdictRow,
 //                         Verdict / ServiceFault (fault isolation) — the
 //                         fleet driver: many monitors over shared streams
-//   Introspection         MonitorService::dump() / dump_shard(), and the
-//                         KvWriter + dump_counters(StreamStats) they use
+//   Introspection         MonitorService::dump(), and the KvWriter +
+//                         dump_counters(StreamStats) it uses
 //   Options & stats       Options, CheckStats / DecisionStats / StreamStats /
 //                         ServiceStats
 //   Building blocks       TraceBuilder / Trace / State / Env, parse_formula

@@ -183,20 +183,20 @@ TEST(MonitorService, RetireFreesSettledCacheAndObligations) {
   const Trace run = sys::run_mutex(mc);
 
   Options opts;
-  opts.num_threads = 1;  // one shard, so the gauges are easy to read
+  opts.num_threads = 1;
   MonitorService service(opts);
   const MonitorId id = service.register_spec(spec);
   for (const State& s : run.states()) service.append(s);
   service.flush();
 
-  StreamStats before = service.shard_stats(0);
+  StreamStats before = service.stats().totals;
   EXPECT_EQ(before.monitors, 1u);
   EXPECT_GT(before.memo_entries, 0u);
   EXPECT_GT(before.obligation_entries, 0u);
 
   service.retire(id);
   service.flush();
-  StreamStats after = service.shard_stats(0);
+  StreamStats after = service.stats().totals;
   EXPECT_EQ(after.monitors, 0u);
   EXPECT_EQ(after.memo_entries, 0u) << "retire frees the settled cache";
   EXPECT_EQ(after.obligation_entries, 0u) << "retire frees the obligation graph";
@@ -245,7 +245,6 @@ TEST(MonitorService, BoundedQueueBackpressureFillsAndDrains) {
 TEST(MonitorService, GoldenDumpOfFreshService) {
   Options opts;
   opts.num_threads = 2;
-  opts.num_shards = 2;
   opts.queue_capacity = 4;
   MonitorService service(opts);
 
@@ -254,7 +253,6 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
 
   std::string expected;
   expected +=
-      "service.shards 2\n"
       "service.threads 2\n"
       "service.streams 1\n"
       "service.queue_capacity 4\n"
@@ -276,37 +274,31 @@ TEST(MonitorService, GoldenDumpOfFreshService) {
       "service.reinstate_misses 0\n"
       "service.reinstate_refused 0\n"
       "service.budget_quarantines 0\n";
-  for (const char* shard : {"shard0", "shard1"}) {
-    const std::string p(shard);
-    expected += p + ".engine.monitors 0\n";
-    expected += p + ".engine.threads 2\n";
-    expected += p + ".engine.states 0\n";
-    expected += p + ".engine.verdicts 0\n";
-    expected += p + ".engine.axioms_checked 0\n";
-    expected += p + ".engine.axioms_failed 0\n";
-    expected += p + ".memo.hits 0\n";
-    expected += p + ".memo.misses 0\n";
-    expected += p + ".memo.inserts 0\n";
-    expected += p + ".memo.entries 0\n";
-    expected += p + ".memo.bytes 0\n";
-    expected += p + ".obligation.entries 0\n";
-    expected += p + ".obligation.settled 0\n";
-    expected += p + ".obligation.open 0\n";
-    expected += p + ".obligation.edges 0\n";
-    expected += p + ".obligation.bytes 0\n";
-    expected += p + ".obligation.dirtied 0\n";
-    expected += p + ".obligation.recomputed 0\n";
-    expected += p + ".obligation_index.nodes 0\n";
-    expected += p + ".obligation_index.touched 0\n";
-    expected += p + ".gc.sweeps 0\n";
-    expected += p + ".gc.freed 0\n";
-    expected += p + ".gc.freed_bytes 0\n";
-    expected += p + ".gc.orphans 0\n";
-    expected += p + ".retired_compactions 0\n";
-    expected += p + ".quarantined 0\n";
-    expected += p + ".quarantines 0\n";
-    expected += p + ".budget_quarantines 0\n";
-  }
+  expected +=
+      "fleet.engine.monitors 0\n"
+      "fleet.engine.threads 2\n"
+      "fleet.engine.states 0\n"
+      "fleet.engine.verdicts 0\n"
+      "fleet.engine.axioms_checked 0\n"
+      "fleet.engine.axioms_failed 0\n"
+      "fleet.memo.hits 0\n"
+      "fleet.memo.misses 0\n"
+      "fleet.memo.inserts 0\n"
+      "fleet.memo.entries 0\n"
+      "fleet.memo.bytes 0\n"
+      "fleet.obligation.entries 0\n"
+      "fleet.obligation.settled 0\n"
+      "fleet.obligation.open 0\n"
+      "fleet.obligation.edges 0\n"
+      "fleet.obligation.bytes 0\n"
+      "fleet.obligation.dirtied 0\n"
+      "fleet.obligation.recomputed 0\n"
+      "fleet.obligation_index.nodes 0\n"
+      "fleet.obligation_index.touched 0\n"
+      "fleet.gc.sweeps 0\n"
+      "fleet.gc.freed 0\n"
+      "fleet.gc.freed_bytes 0\n"
+      "fleet.gc.orphans 0\n";
   EXPECT_EQ(os.str(), expected);
 }
 
@@ -314,7 +306,6 @@ TEST(MonitorService, DumpAfterTrafficKeepsTheStableFormat) {
   StreamCases cases;
   Options opts;
   opts.num_threads = 2;
-  opts.num_shards = 2;
   MonitorService service(opts);
   for (std::size_t c = 0; c < cases.traces.size(); ++c) {
     service.register_spec(*cases.spec_of[c]);
@@ -340,15 +331,12 @@ TEST(MonitorService, DumpAfterTrafficKeepsTheStableFormat) {
   }
   EXPECT_GT(lines, 0u);
 
-  // Every shard section carries the counter families the operator watches:
+  // The fleet section carries the counter families the operator watches:
   // engine, eval cache (memo), obligation graph, reader list, GC.
-  for (const char* shard : {"shard0", "shard1"}) {
-    for (const char* group : {".engine.monitors", ".memo.hits", ".memo.entries",
-                              ".obligation.entries", ".obligation.recomputed",
-                              ".obligation_index.touched", ".gc.sweeps"}) {
-      EXPECT_TRUE(keys.count(std::string(shard) + group) == 1)
-          << "missing " << shard << group;
-    }
+  for (const char* key : {"fleet.engine.monitors", "fleet.memo.hits", "fleet.memo.entries",
+                          "fleet.obligation.entries", "fleet.obligation.recomputed",
+                          "fleet.obligation_index.touched", "fleet.gc.sweeps"}) {
+    EXPECT_EQ(keys.count(key), 1u) << "missing " << key;
   }
 
   // The dump agrees with the structured stats.
@@ -357,9 +345,11 @@ TEST(MonitorService, DumpAfterTrafficKeepsTheStableFormat) {
             std::string::npos);
   EXPECT_GT(stats.totals.obligation_entries, 0u);
   EXPECT_GT(stats.totals.memo_hits, 0u);
-  const StreamStats sh0 = service.shard_stats(0);
-  const StreamStats sh1 = service.shard_stats(1);
-  EXPECT_EQ(sh0.monitors + sh1.monitors, stats.totals.monitors);
+  EXPECT_EQ(stats.totals.monitors, cases.traces.size());
+  EXPECT_NE(dump.find("fleet.engine.monitors " + std::to_string(stats.totals.monitors) + "\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("fleet.memo.hits " + std::to_string(stats.totals.memo_hits) + "\n"),
+            std::string::npos);
 }
 
 }  // namespace

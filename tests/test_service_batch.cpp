@@ -2,11 +2,12 @@
 // folding queued appends into multi-state epochs (Options::max_epoch_batch)
 // must be invisible in the verdict stream.  Rows are pinned bit-identical
 // to the uncached evaluator at every prefix across batch sizes 1/4/16 x
-// shards 1/2/4 x pool widths 1/2/4 on the five case studies; Register/Retire barriers
-// mid-stream keep their sequenced semantics at any batch size; two
-// interleaved streams produce exactly their single-stream rows while their
-// states coalesce into shared batches; and tombstone compaction frees
-// retired slots once a shard passes the 1/4 retired fraction.
+// pool widths 1/2/4 on the five case studies; Register/Retire barriers
+// mid-stream keep their sequenced semantics at any batch size and pool
+// width; two interleaved streams produce exactly their single-stream rows
+// while their states coalesce into shared batches; and tombstone
+// compaction frees retired slots once the table passes the 1/4 retired
+// fraction.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -85,16 +86,14 @@ struct StreamCases {
 /// are 1..kSubscribers.
 constexpr std::size_t kSubscribers = 3;
 
-/// Runs one trace through a service configured with (batch, shards,
-/// threads): pause first so every append is queued before the coordinator
+/// Runs one trace through a service configured with (batch, threads):
+/// pause first so every append is queued before the coordinator
 /// moves, which forces real max_epoch_batch-sized blocks instead of
 /// whatever the producer/coordinator race happens to leave in the queue.
 std::vector<VerdictRow> run_service(const Spec& spec, const Trace& run, std::size_t batch,
-                                    std::size_t shards, std::size_t threads,
-                                    engine::ServiceStats& stats_out) {
+                                    std::size_t threads, engine::ServiceStats& stats_out) {
   Options opts;
   opts.num_threads = threads;
-  opts.num_shards = shards;
   opts.max_epoch_batch = batch;
   opts.queue_capacity = run.size() + 8;
   MonitorService service(opts);
@@ -135,37 +134,32 @@ TEST(ServiceBatch, BatchedEpochsMatchUncachedAtEveryPrefix) {
     failing_prefixes += count_failing(oracle);
 
     for (const std::size_t batch : {1u, 4u, 16u}) {
-      for (const std::size_t shards : {1u, 2u, 4u}) {
-        for (const std::size_t threads : {1u, 2u, 4u}) {
-          engine::ServiceStats stats;
-          const std::vector<VerdictRow> rows =
-              run_service(spec, run, batch, shards, threads, stats);
-          const std::string label = "case " + std::to_string(c) + " batch " +
-                                    std::to_string(batch) + " shards " +
-                                    std::to_string(shards) + " threads " +
-                                    std::to_string(threads);
-          ASSERT_EQ(rows.size(), run.size()) << label;
-          for (std::size_t k = 0; k < rows.size(); ++k) {
-            ASSERT_EQ(rows[k].seq, k) << label;
-            ASSERT_EQ(rows[k].verdicts.size(), kSubscribers) << label << " row " << k;
-            for (std::size_t j = 0; j < kSubscribers; ++j) {
-              const ServiceVerdict& v = rows[k].verdicts[j];
-              ASSERT_EQ(v.id, j + 1) << label << " row " << k;
-              ASSERT_EQ(v.result.ok, oracle[k].ok) << label << " row " << k << " slot " << j;
-              ASSERT_EQ(v.result.failed, oracle[k].failed)
-                  << label << " row " << k << " slot " << j;
-            }
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        engine::ServiceStats stats;
+        const std::vector<VerdictRow> rows = run_service(spec, run, batch, threads, stats);
+        const std::string label = "case " + std::to_string(c) + " batch " +
+                                  std::to_string(batch) + " threads " + std::to_string(threads);
+        ASSERT_EQ(rows.size(), run.size()) << label;
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          ASSERT_EQ(rows[k].seq, k) << label;
+          ASSERT_EQ(rows[k].verdicts.size(), kSubscribers) << label << " row " << k;
+          for (std::size_t j = 0; j < kSubscribers; ++j) {
+            const ServiceVerdict& v = rows[k].verdicts[j];
+            ASSERT_EQ(v.id, j + 1) << label << " row " << k;
+            ASSERT_EQ(v.result.ok, oracle[k].ok) << label << " row " << k << " slot " << j;
+            ASSERT_EQ(v.result.failed, oracle[k].failed)
+                << label << " row " << k << " slot " << j;
           }
-          // The queue was fully loaded before the coordinator moved, so the
-          // first block is exactly min(batch, trace size) states — batching
-          // really happened and the gauges saw it.
-          const std::size_t want_max = std::min<std::size_t>(batch, run.size());
-          EXPECT_EQ(stats.states_per_batch_max, want_max) << label;
-          EXPECT_GE(stats.queue_peak, run.size()) << label;
-          EXPECT_EQ(stats.states_applied, run.size()) << label;
-          if (batch >= run.size()) {
-            EXPECT_EQ(stats.epoch_batches, 1u) << label;
-          }
+        }
+        // The queue was fully loaded before the coordinator moved, so the
+        // first block is exactly min(batch, trace size) states — batching
+        // really happened and the gauges saw it.
+        const std::size_t want_max = std::min<std::size_t>(batch, run.size());
+        EXPECT_EQ(stats.states_per_batch_max, want_max) << label;
+        EXPECT_GE(stats.queue_peak, run.size()) << label;
+        EXPECT_EQ(stats.states_applied, run.size()) << label;
+        if (batch >= run.size()) {
+          EXPECT_EQ(stats.epoch_batches, 1u) << label;
         }
       }
     }
@@ -183,11 +177,9 @@ TEST(ServiceBatch, RegisterRetireBarriersMidStreamMatchPerState) {
 
   // One scripted lifecycle: monitors join and leave between appends, so
   // the coordinator must split the append stream at every barrier.
-  const auto script = [&](std::size_t batch, std::size_t shards,
-                          std::size_t threads) -> std::vector<VerdictRow> {
+  const auto script = [&](std::size_t batch, std::size_t threads) -> std::vector<VerdictRow> {
     Options opts;
     opts.num_threads = threads;
-    opts.num_shards = shards;
     opts.max_epoch_batch = batch;
     opts.queue_capacity = 2 * run.size() + 16;
     MonitorService service(opts);
@@ -203,19 +195,16 @@ TEST(ServiceBatch, RegisterRetireBarriersMidStreamMatchPerState) {
     return service.drain();
   };
 
-  const std::vector<VerdictRow> reference = script(1, 1, 1);
+  const std::vector<VerdictRow> reference = script(1, 1);
   ASSERT_EQ(reference.size(), run.size());
   ASSERT_EQ(reference[0].verdicts.size(), 1u);   // only `first`
   ASSERT_EQ(reference[4].verdicts.size(), 2u);   // both resident
   ASSERT_EQ(reference[5].verdicts.size(), 1u);   // first retired
-  for (const std::size_t batch : {4u, 16u}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      for (const std::size_t threads : {1u, 4u}) {
-        const std::string label = "batch " + std::to_string(batch) + " shards " +
-                                  std::to_string(shards) + " threads " +
-                                  std::to_string(threads);
-        expect_same_rows(script(batch, shards, threads), reference, label);
-      }
+  for (const std::size_t batch : {1u, 4u, 16u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      const std::string label =
+          "batch " + std::to_string(batch) + " threads " + std::to_string(threads);
+      expect_same_rows(script(batch, threads), reference, label);
     }
   }
 }
@@ -254,7 +243,6 @@ TEST(ServiceBatch, InterleavedStreamsMatchSingleStreamRuns) {
   for (const std::size_t batch : {1u, 4u, 16u}) {
     Options opts;
     opts.num_threads = 2;
-    opts.num_shards = 2;
     opts.max_epoch_batch = batch;
     opts.queue_capacity = 2 * n + 8;
     MonitorService service(opts);
@@ -334,7 +322,6 @@ TEST(ServiceBatch, RetireCompactsTombstonesPastQuarterFraction) {
 
   Options opts;
   opts.num_threads = 1;
-  opts.num_shards = 1;  // all ids land in shard 0
   MonitorService service(opts);
   std::vector<MonitorId> ids;
   for (std::size_t i = 0; i < 8; ++i) ids.push_back(service.register_spec(spec));
@@ -355,8 +342,8 @@ TEST(ServiceBatch, RetireCompactsTombstonesPastQuarterFraction) {
   EXPECT_EQ(stats.monitors_retired, 3u);
 
   std::ostringstream os;
-  service.dump_shard(0, os);
-  EXPECT_NE(os.str().find("shard0.retired_compactions 1\n"), std::string::npos);
+  service.dump(os);
+  EXPECT_NE(os.str().find("service.retired_compactions 1\n"), std::string::npos);
 
   // The survivors still monitor: a post-compaction append produces rows for
   // exactly the five residents, in id order.

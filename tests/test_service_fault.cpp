@@ -2,13 +2,14 @@
 // throws is quarantined — its row slots render Verdict::Faulted carrying the
 // captured exception — while every other monitor's verdict stream stays
 // bit-identical to the uncached evaluator at every prefix (tests/oracle.h),
-// across batch sizes 1/4/16 x shards 1/2/4 x pool widths 1/2/4.  The organic
+// across batch sizes 1/4/16 x pool widths 1/2/4.  The organic
 // thrower needs no build flag: `[] (boom = 1 -> $unbound > 0)` evaluates its
 // unbound meta variable (std::invalid_argument) exactly when a state with
 // boom=1 arrives, and short-circuits safely on every other state.  On top
 // of that: the reinstate lifecycle (backoff gate, retry budget, rebuild
 // failure), the byte budget (quarantine once the live set is over it),
-// and — under IL_FAULT_INJECTION — per-site differentials for the injected
+// fault payloads in rank order when several slots fault in one row, and —
+// under IL_FAULT_INJECTION — per-site differentials for the injected
 // harness plus a seeded soak (IL_FAULT_SOAK_SECONDS bounds it).
 #include <gtest/gtest.h>
 
@@ -31,12 +32,12 @@ namespace il {
 namespace {
 
 /// A spec that throws organically: the implication short-circuits until a
-/// state carries boom=1, whereupon the unbound meta variable $unbound
+/// state carries `key`=1, whereupon the unbound meta variable $unbound
 /// throws std::invalid_argument from predicate evaluation.
-Spec boom_spec() {
+Spec boom_spec(const std::string& key = "boom") {
   Spec s;
-  s.name = "boom";
-  s.axioms.push_back(Axiom{"no_boom", parse_formula("[] (boom = 1 -> $unbound > 0)")});
+  s.name = key;
+  s.axioms.push_back(Axiom{"no_" + key, parse_formula("[] (" + key + " = 1 -> $unbound > 0)")});
   return s;
 }
 
@@ -60,13 +61,12 @@ struct FleetResult {
 
 /// Runs `trace` through a fleet of three mutex monitors and a boom monitor
 /// registered second, so the victim sits between survivors in rank order.
-FleetResult run_fleet(const Trace& trace, std::size_t batch, std::size_t shards,
-                      std::size_t threads, MonitorId* victim_out) {
+FleetResult run_fleet(const Trace& trace, std::size_t batch, std::size_t threads,
+                      MonitorId* victim_out) {
   const Spec mutex_spec = sys::mutex_spec(3);
   const Spec victim_spec = boom_spec();
   Options opts;
   opts.num_threads = threads;
-  opts.num_shards = shards;
   opts.max_epoch_batch = batch;
   opts.queue_capacity = trace.size() + 8;
   FleetResult out;
@@ -113,25 +113,22 @@ TEST(ServiceFault, QuarantineIsolatesTheFaultyMonitorAcrossGrids) {
   EXPECT_GT(count_failing(oracle), 0u);
 
   for (const std::size_t batch : {1u, 4u, 16u}) {
-    for (const std::size_t shards : {1u, 2u, 4u}) {
-      for (const std::size_t threads : {1u, 2u, 4u}) {
-        MonitorId victim = 0;
-        const FleetResult got = run_fleet(trace, batch, shards, threads, &victim);
-        const std::string label = "batch " + std::to_string(batch) + " shards " +
-                                  std::to_string(shards) + " threads " +
-                                  std::to_string(threads);
-        expect_survivors_match(got.rows, victim, 3, oracle, label);
-        EXPECT_EQ(got.stats.quarantines, 1u) << label;
-        EXPECT_EQ(got.stats.monitors_quarantined, 1u) << label;
-        EXPECT_EQ(got.stats.monitors_resident, 4u) << label;
-        // Every row still carries the victim's slot, and from the faulting
-        // block on it renders Faulted.
-        for (const VerdictRow& row : got.rows) {
-          ASSERT_EQ(row.verdicts.size(), 4u) << label;
-        }
-        EXPECT_EQ(got.rows.back().verdicts[1].id, victim) << label;
-        EXPECT_EQ(got.rows.back().verdict_at(1), Verdict::Faulted) << label;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      MonitorId victim = 0;
+      const FleetResult got = run_fleet(trace, batch, threads, &victim);
+      const std::string label =
+          "batch " + std::to_string(batch) + " threads " + std::to_string(threads);
+      expect_survivors_match(got.rows, victim, 3, oracle, label);
+      EXPECT_EQ(got.stats.quarantines, 1u) << label;
+      EXPECT_EQ(got.stats.monitors_quarantined, 1u) << label;
+      EXPECT_EQ(got.stats.monitors_resident, 4u) << label;
+      // Every row still carries the victim's slot, and from the faulting
+      // block on it renders Faulted.
+      for (const VerdictRow& row : got.rows) {
+        ASSERT_EQ(row.verdicts.size(), 4u) << label;
       }
+      EXPECT_EQ(got.rows.back().verdicts[1].id, victim) << label;
+      EXPECT_EQ(got.rows.back().verdict_at(1), Verdict::Faulted) << label;
     }
   }
 }
@@ -139,7 +136,7 @@ TEST(ServiceFault, QuarantineIsolatesTheFaultyMonitorAcrossGrids) {
 TEST(ServiceFault, FaultedRowsCarryTheQuarantiningException) {
   const Trace trace = boom_trace(2);
   MonitorId victim = 0;
-  const FleetResult got = run_fleet(trace, 1, 1, 1, &victim);
+  const FleetResult got = run_fleet(trace, 1, 1, &victim);
 
   // With per-state epochs the victim's rows are Ok before the boom state
   // and Faulted from it on; the parked exception rides every Faulted row.
@@ -179,7 +176,7 @@ TEST(ServiceFault, ThrowAtEveryBatchPositionNeverTearsTheFleet) {
     const Trace trace = boom_trace(boom_at, 6);
     ASSERT_GT(trace.size(), boom_at);
     MonitorId victim = 0;
-    const FleetResult got = run_fleet(trace, 4, 2, 2, &victim);
+    const FleetResult got = run_fleet(trace, 4, 2, &victim);
     const std::string label = "boom at " + std::to_string(boom_at);
     expect_survivors_match(got.rows, victim, 3, oracle, label);
     EXPECT_EQ(got.stats.quarantines, 1u) << label;
@@ -198,7 +195,6 @@ TEST(ServiceFault, ReinstateRebuildsAfterBackoffAndHonorsTheRetryBudget) {
   const Spec victim_spec = boom_spec();
   Options opts;
   opts.num_threads = 1;
-  opts.num_shards = 1;
   opts.max_epoch_batch = 1;
   opts.max_reinstate_attempts = 2;
   MonitorService service(opts);
@@ -279,7 +275,6 @@ TEST(ServiceFault, OverBudgetMonitorIsCollectedThenQuarantined) {
 
   Options opts;
   opts.num_threads = 1;
-  opts.num_shards = 1;
   opts.max_epoch_batch = 1;
   opts.obligation_byte_budget = 1;  // no live monitor fits under this
   MonitorService service(opts);
@@ -343,7 +338,6 @@ TEST(ServiceFault, BudgetAtThePeakFootprintKeepsTheMonitor) {
 
   Options opts;
   opts.num_threads = 1;
-  opts.num_shards = 1;
   opts.max_epoch_batch = 1;
   opts.obligation_byte_budget = budget;
   MonitorService service(opts);
@@ -355,6 +349,64 @@ TEST(ServiceFault, BudgetAtThePeakFootprintKeepsTheMonitor) {
   expect_survivors_match(service.drain(), ~MonitorId{0}, 1, oracle, "budget " + std::to_string(budget));
 }
 
+TEST(ServiceFault, FaultPayloadsAscendInRankOrderAcrossSources) {
+  // One row with Faulted slots from both sources: the highest-id monitor
+  // was quarantined in an earlier block, and two lower-id monitors throw in
+  // this block.  The fold walks the table in id order, so every row's
+  // payloads must ascend and name exactly its Faulted ranks — at any pool
+  // width.
+  const Trace base = boom_trace(~std::size_t{0});
+  ASSERT_GE(base.size(), 4u);
+  std::vector<State> states(base.states().begin(), base.states().begin() + 4);
+  states[0].set("early", 1);
+  states[2].set("late", 1);
+  const Trace trace(std::move(states));
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const std::string label = "threads " + std::to_string(threads);
+    Options opts;
+    opts.num_threads = threads;
+    opts.max_epoch_batch = 2;
+    opts.queue_capacity = trace.size() + 8;
+    MonitorService service(opts);
+    service.pause();
+    service.register_spec(sys::mutex_spec(3));                          // rank 0
+    const MonitorId late_a = service.register_spec(boom_spec("late"));  // rank 1
+    service.register_spec(sys::mutex_spec(3));                          // rank 2
+    const MonitorId late_b = service.register_spec(boom_spec("late"));  // rank 3
+    const MonitorId early = service.register_spec(boom_spec("early"));  // rank 4
+    // Blocks of two: {0, 1} quarantines `early`; {2, 3} throws in both
+    // `late` monitors.
+    for (const State& s : trace.states()) service.append(s);
+    service.resume();
+    service.flush();
+    EXPECT_EQ(service.stats().quarantines, 3u) << label;
+
+    const std::vector<VerdictRow> rows = service.drain();
+    ASSERT_EQ(rows.size(), 4u) << label;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const VerdictRow& row = rows[k];
+      ASSERT_EQ(row.verdicts.size(), 5u) << label << " row " << k;
+      std::vector<std::uint32_t> faulted;
+      for (std::size_t i = 0; i < row.verdicts.size(); ++i) {
+        if (row.verdict_at(i) == Verdict::Faulted) {
+          faulted.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+      std::vector<std::uint32_t> indices;
+      for (const auto& entry : row.faults) indices.push_back(entry.first);
+      EXPECT_EQ(indices, faulted) << label << " row " << k;
+      EXPECT_TRUE(std::is_sorted(indices.begin(), indices.end())) << label << " row " << k;
+      const std::vector<std::uint32_t> want =
+          k < 2 ? std::vector<std::uint32_t>{4} : std::vector<std::uint32_t>{1, 3, 4};
+      EXPECT_EQ(indices, want) << label << " row " << k;
+    }
+    EXPECT_EQ(rows[3].verdicts[1].id, late_a) << label;
+    EXPECT_EQ(rows[3].verdicts[3].id, late_b) << label;
+    EXPECT_EQ(rows[3].verdicts[4].id, early) << label;
+  }
+}
+
 TEST(ServiceFault, RegistrationAroundAQuarantineStaysSequenced) {
   // Registering after a quarantine must keep the sequenced-membership
   // contract: the late monitor observes exactly the states appended after
@@ -362,7 +414,6 @@ TEST(ServiceFault, RegistrationAroundAQuarantineStaysSequenced) {
   const Trace trace = boom_trace(1);
   Options opts;
   opts.num_threads = 2;
-  opts.num_shards = 2;
   MonitorService service(opts);
   const MonitorId victim = service.register_spec(boom_spec());
   const MonitorId survivor = service.register_spec(sys::mutex_spec(3));
@@ -408,48 +459,44 @@ TEST(ServiceFaultInjection, PerSiteFaultsQuarantineOnlyTheVictim) {
 
   for (const char* site : {"monitor.append", "monitor.verdict", "incremental.expand"}) {
     for (const std::size_t batch : {1u, 4u, 16u}) {
-      for (const std::size_t shards : {1u, 2u, 4u}) {
-        for (const std::size_t threads : {1u, 2u, 4u}) {
-          const std::string label = std::string(site) + " batch " + std::to_string(batch) +
-                                    " shards " + std::to_string(shards) + " threads " +
-                                    std::to_string(threads);
-          Options opts;
-          opts.num_threads = threads;
-          opts.num_shards = shards;
-          opts.max_epoch_batch = batch;
-          opts.queue_capacity = trace.size() + 8;
-          MonitorService service(opts);
-          service.pause();
-          service.register_spec(sys::mutex_spec(3));
-          const MonitorId victim = service.register_spec(sys::mutex_spec(3));
-          service.register_spec(sys::mutex_spec(3));
-          // Key the site to the victim's id: at any pool width only hits
-          // made while a worker advances the victim count, so the fault
-          // lands at the same logical point on every run.
-          const std::uint64_t fired_before = FaultInjector::instance().fired(site);
-          FaultInjector::instance().arm_nth(site, 3, victim);
-          for (const State& s : trace.states()) service.append(s);
-          service.resume();
-          service.flush();
-          FaultInjector::instance().disarm_all();
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        const std::string label = std::string(site) + " batch " + std::to_string(batch) +
+                                  " threads " + std::to_string(threads);
+        Options opts;
+        opts.num_threads = threads;
+        opts.max_epoch_batch = batch;
+        opts.queue_capacity = trace.size() + 8;
+        MonitorService service(opts);
+        service.pause();
+        service.register_spec(sys::mutex_spec(3));
+        const MonitorId victim = service.register_spec(sys::mutex_spec(3));
+        service.register_spec(sys::mutex_spec(3));
+        // Key the site to the victim's id: at any pool width only hits
+        // made while a worker advances the victim count, so the fault
+        // lands at the same logical point on every run.
+        const std::uint64_t fired_before = FaultInjector::instance().fired(site);
+        FaultInjector::instance().arm_nth(site, 3, victim);
+        for (const State& s : trace.states()) service.append(s);
+        service.resume();
+        service.flush();
+        FaultInjector::instance().disarm_all();
 
-          const ServiceStats stats = service.stats();
-          const std::vector<VerdictRow> rows = service.drain();
-          // Skip only if this run never reached the armed trigger (fired()
-          // is a lifetime counter; compare against the pre-run snapshot).
-          if (FaultInjector::instance().fired(site) == fired_before) continue;
-          EXPECT_EQ(stats.quarantines, 1u) << label;
-          EXPECT_FALSE(service.poisoned()) << label;
-          expect_survivors_match(rows, victim, 2, oracle, label);
-          EXPECT_EQ(rows.back().verdict_at(1), Verdict::Faulted) << label;
-          const std::exception_ptr fault = rows.back().fault_at(1);
-          ASSERT_NE(fault, nullptr) << label;
-          try {
-            std::rethrow_exception(fault);
-            FAIL() << label;
-          } catch (const util::FaultError& e) {
-            EXPECT_NE(std::string(e.what()).find(site), std::string::npos) << label;
-          }
+        const ServiceStats stats = service.stats();
+        const std::vector<VerdictRow> rows = service.drain();
+        // Skip only if this run never reached the armed trigger (fired()
+        // is a lifetime counter; compare against the pre-run snapshot).
+        if (FaultInjector::instance().fired(site) == fired_before) continue;
+        EXPECT_EQ(stats.quarantines, 1u) << label;
+        EXPECT_FALSE(service.poisoned()) << label;
+        expect_survivors_match(rows, victim, 2, oracle, label);
+        EXPECT_EQ(rows.back().verdict_at(1), Verdict::Faulted) << label;
+        const std::exception_ptr fault = rows.back().fault_at(1);
+        ASSERT_NE(fault, nullptr) << label;
+        try {
+          std::rethrow_exception(fault);
+          FAIL() << label;
+        } catch (const util::FaultError& e) {
+          EXPECT_NE(std::string(e.what()).find(site), std::string::npos) << label;
         }
       }
     }
@@ -462,7 +509,6 @@ TEST(ServiceFaultInjection, PoolDispatchFaultPoisonsTheServiceCleanly) {
   const Trace trace = sys::run_mutex(mc);
   Options opts;
   opts.num_threads = 4;
-  opts.num_shards = 4;
   opts.queue_capacity = trace.size() + 8;
   MonitorService service(opts);
   service.pause();
@@ -511,7 +557,6 @@ TEST(ServiceFaultInjection, RegisterFaultQuarantinesAtBirth) {
   const Trace trace = sys::run_mutex(mc);
   Options opts;
   opts.num_threads = 1;
-  opts.num_shards = 1;
   opts.max_epoch_batch = 1;
   MonitorService service(opts);
   const MonitorId survivor = service.register_spec(sys::mutex_spec(3));
@@ -582,7 +627,6 @@ TEST(ServiceFaultInjection, SeededSoakSurvivesRandomFaults) {
     const Trace& trace = *traces[which];
     Options opts;
     opts.num_threads = 1 + rng() % 4;
-    opts.num_shards = 1 + rng() % 4;
     opts.max_epoch_batch = 1 + rng() % 16;
     opts.queue_capacity = trace.size() + 8;
 
